@@ -16,6 +16,7 @@ from typing import List
 
 import numpy as np
 
+from ...obs import NULL_REGISTRY
 from ...sim import Kernel, Resource
 from .accel import GbdtAccelerator, TUPLE_BYTES
 
@@ -62,9 +63,9 @@ def run_streaming_inference(
     total, the last including buffer and engine queueing) and a tuple
     counter; observation never perturbs the schedule.
     """
-    from ...obs import NULL_REGISTRY
-
     obs = obs if obs is not None else NULL_REGISTRY
+    stage_ns = obs.family("histogram", "app_gbdt_stage_ns", ("stage",))
+    tuples = obs.family("counter", "app_gbdt_tuples_total")
     if batch_tuples < 1:
         raise ValueError("batch_tuples must be positive")
     features = np.asarray(features)
@@ -90,10 +91,7 @@ def run_streaming_inference(
         yield dma_busy.acquire()
         t_copy = kernel.now
         yield kernel.timeout(copy_ns)  # pooled: one Timeout per distinct delay
-        if obs:
-            obs.histogram("app_gbdt_stage_ns", {"stage": "copy"}).observe(
-                kernel.now - t_copy
-            )
+        stage_ns["copy"].observe(kernel.now - t_copy)
         dma_busy.release(kernel)
         # Stage 2: the (single) engine computes; the buffer frees when
         # the compute drains it.
@@ -101,14 +99,9 @@ def run_streaming_inference(
         t_compute = kernel.now
         yield kernel.timeout(compute_ns * len(batch) / batch_tuples)
         predictions[index] = accelerator.infer(batch)
-        if obs:
-            obs.histogram("app_gbdt_stage_ns", {"stage": "compute"}).observe(
-                kernel.now - t_compute
-            )
-            obs.histogram("app_gbdt_stage_ns", {"stage": "total"}).observe(
-                kernel.now - t_start
-            )
-            obs.counter("app_gbdt_tuples_total").inc(len(batch))
+        stage_ns["compute"].observe(kernel.now - t_compute)
+        stage_ns["total"].observe(kernel.now - t_start)
+        tuples[()].inc(len(batch))
         engine_busy.release(kernel)
         buffers.release(kernel)
 

@@ -19,6 +19,7 @@ from typing import Dict
 import numpy as np
 
 from ...cpu.pmu import PmuReport
+from ...obs import NULL_REGISTRY
 from ...sim.units import GIB
 from .blur import gaussian_blur3
 from .frames import BYTES_PER_PIXEL
@@ -42,17 +43,20 @@ def _observe_stage(obs, stage: str, t0_ns: int) -> int:
     return t1
 
 
+def _count_frame(obs, mode: "ReductionMode", pixels: int) -> None:
+    obs.counter("app_vision_frames_total", {"mode": mode.value}).inc()
+    obs.counter("app_vision_pixels_total").inc(pixels)
+
+
 def soft_pipeline(frame: np.ndarray, obs=None) -> np.ndarray:
     """All-software reference: RGB2Y then blur."""
-    if not obs:
-        return gaussian_blur3(rgb_to_y(frame))
+    obs = obs if obs is not None else NULL_REGISTRY
     t = time.perf_counter_ns()
     y = rgb_to_y(frame)
     t = _observe_stage(obs, "rgb2y", t)
     blurred = gaussian_blur3(y)
     _observe_stage(obs, "blur", t)
-    obs.counter("app_vision_frames_total", {"mode": ReductionMode.NONE.value}).inc()
-    obs.counter("app_vision_pixels_total").inc(frame.shape[0] * frame.shape[1])
+    _count_frame(obs, ReductionMode.NONE, frame.shape[0] * frame.shape[1])
     return blurred
 
 
@@ -70,29 +74,19 @@ def hard_pipeline(reduced: np.ndarray, mode: ReductionMode, obs=None) -> np.ndar
     """The CPU side after hardware reduction: (unpack +) blur."""
     if mode is ReductionMode.NONE:
         return soft_pipeline(reduced, obs=obs)
+    obs = obs if obs is not None else NULL_REGISTRY
+    t = time.perf_counter_ns()
     if mode is ReductionMode.Y8:
-        if not obs:
-            return gaussian_blur3(reduced)
-        t = time.perf_counter_ns()
-        blurred = gaussian_blur3(reduced)
-        _observe_stage(obs, "blur", t)
-        obs.counter("app_vision_frames_total", {"mode": mode.value}).inc()
-        obs.counter("app_vision_pixels_total").inc(reduced.shape[0] * reduced.shape[1])
-        return blurred
-    if not obs:
+        y = reduced
+    else:
         codes = unpack4(reduced.reshape(-1)).reshape(
             reduced.shape[0], reduced.shape[1] * 2
         )
-        return gaussian_blur3(dequantize4(codes))
-    t = time.perf_counter_ns()
-    codes = unpack4(reduced.reshape(-1)).reshape(
-        reduced.shape[0], reduced.shape[1] * 2
-    )
-    t = _observe_stage(obs, "unpack", t)
-    blurred = gaussian_blur3(dequantize4(codes))
+        t = _observe_stage(obs, "unpack", t)
+        y = dequantize4(codes)
+    blurred = gaussian_blur3(y)
     _observe_stage(obs, "blur", t)
-    obs.counter("app_vision_frames_total", {"mode": mode.value}).inc()
-    obs.counter("app_vision_pixels_total").inc(codes.shape[0] * codes.shape[1])
+    _count_frame(obs, mode, y.shape[0] * y.shape[1])
     return blurred
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..obs import NULL_REGISTRY
 from .i2c import I2cBus
 from .pmbus import Operation, PmbusCommand, StatusBit, VOUT_MODE_DEFAULT, linear11_decode, linear16_decode
 from .regulators import BoardClock, LoadBook, PowerRail, RegulatorParams, VoltageRegulator
@@ -118,9 +119,13 @@ class PowerManager:
         resequence_backoff_s: float = 0.25,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = registry = obs if obs is not None else NULL_REGISTRY
+        self._throttle_events = registry.family("counter", "bmc_throttle_events_total")
+        self._throttle_fraction = registry.family("gauge", "bmc_throttle_fraction")
+        self._recoveries = registry.family("counter", "bmc_rail_recoveries_total")
+        self._rail_events = registry.family("counter", "bmc_rail_events_total", ("op",))
+        self._rails_live = registry.family("gauge", "bmc_rails_live")
+        self._resequences = registry.family("counter", "bmc_resequences_total")
         self.clock = clock or BoardClock()
         if obs is not None:
             obs.use_clock(lambda: self.clock.now_s, override=False)
@@ -226,17 +231,15 @@ class PowerManager:
         self.events.append(
             (self.clock.now_s, f"throttle:{self.loads.throttle:g}{suffix}")
         )
-        if self.obs:
-            self.obs.counter("bmc_throttle_events_total").inc()
-            self.obs.gauge("bmc_throttle_fraction").set(self.loads.throttle)
+        self._throttle_events[()].inc()
+        self._throttle_fraction[()].set(self.loads.throttle)
 
     def exit_throttle(self) -> None:
         """Restore full load demand (operator-driven, never automatic)."""
         self.loads.throttle = 1.0
         self.throttled = False
         self.events.append((self.clock.now_s, "throttle:exit"))
-        if self.obs:
-            self.obs.gauge("bmc_throttle_fraction").set(1.0)
+        self._throttle_fraction[()].set(1.0)
 
     def recover_rail(self, rail: str) -> None:
         """Clear a latched fault and re-enable one rail in place."""
@@ -244,8 +247,7 @@ class PowerManager:
         self._operation(rail, Operation.ON)
         self.clock.advance(self.requirements[rail].settle_ms / 1000.0)
         self.events.append((self.clock.now_s, f"recover:{rail}"))
-        if self.obs:
-            self.obs.counter("bmc_rail_recoveries_total").inc()
+        self._recoveries[()].inc()
 
     # -- sequences ------------------------------------------------------------
 
@@ -303,11 +305,8 @@ class PowerManager:
                     raise RailFaultError(rail, status, "faulted during bring-up")
                 raise RailFaultError(rail, status, "failed to reach regulation")
             self.events.append((self.clock.now_s, f"on:{rail}"))
-            if self.obs:
-                self.obs.counter("bmc_rail_events_total", {"op": "on"}).inc()
-                self.obs.gauge("bmc_rails_live").set(
-                    sum(1 for r in self.regulators.values() if r.live)
-                )
+            self._rail_events["on"].inc()
+            self._rails_live[()].set(sum(1 for r in self.regulators.values() if r.live))
 
     def _recover_group(self, order: Sequence[str], attempt: int) -> None:
         """Graceful shutdown + fault clearing + backoff for one group."""
@@ -322,8 +321,7 @@ class PowerManager:
         # inrush collisions) get time to decay before the retry.
         self.clock.advance(self.resequence_backoff_s * (2 ** (attempt - 1)))
         self.events.append((self.clock.now_s, f"resequence:{attempt}"))
-        if self.obs:
-            self.obs.counter("bmc_resequences_total").inc()
+        self._resequences[()].inc()
 
     def _bring_down(self, rails: Sequence[RailRequirement]) -> None:
         group = {r.rail for r in rails}
@@ -332,11 +330,8 @@ class PowerManager:
             self._operation(rail, Operation.OFF)
             self.clock.advance(0.002)
             self.events.append((self.clock.now_s, f"off:{rail}"))
-            if self.obs:
-                self.obs.counter("bmc_rail_events_total", {"op": "off"}).inc()
-                self.obs.gauge("bmc_rails_live").set(
-                    sum(1 for r in self.regulators.values() if r.live)
-                )
+            self._rail_events["off"].inc()
+            self._rails_live[()].set(sum(1 for r in self.regulators.values() if r.live))
 
     def common_power_up(self) -> None:
         """PSU plugged in: standby, main, and clock domains."""

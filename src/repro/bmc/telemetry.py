@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..obs import NULL_REGISTRY
 from .power_manager import PRIMARY_DOMAINS, PowerManager
 
 
@@ -94,8 +95,6 @@ class TelemetryService:
         sample_period_ms: float = 20.0,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         if sample_period_ms <= 0:
             raise ValueError("sample period must be positive")
         self.manager = manager
@@ -105,7 +104,13 @@ class TelemetryService:
             label: PowerTrace(label) for label in self.rails
         }
         self.marks: List[PhaseMark] = []
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = registry = obs if obs is not None else NULL_REGISTRY
+        self._volts = registry.family("gauge", "bmc_rail_volts", ("rail",))
+        self._amps = registry.family("gauge", "bmc_rail_amps", ("rail",))
+        self._watts = registry.family("gauge", "bmc_rail_watts", ("rail",))
+        self._sweeps = registry.family(
+            "counter", "bmc_samples_total", help="telemetry sweeps completed"
+        )
         if obs is not None:
             obs.use_clock(lambda: self.manager.clock.now_s, override=False)
         #: Fault-injection hook: may replace a sample (sensor glitch) or
@@ -136,17 +141,10 @@ class TelemetryService:
             if self.health_hook is not None:
                 self.health_hook(label, rail, sample)
             self.traces[label].samples.append(sample)
-            if self.obs:
-                key = {"rail": label}
-                self.obs.gauge("bmc_rail_volts", key).set(regulator.vout)
-                self.obs.gauge("bmc_rail_amps", key).set(regulator.iout)
-                self.obs.gauge("bmc_rail_watts", key).set(
-                    regulator.vout * regulator.iout
-                )
-        if self.obs:
-            self.obs.counter(
-                "bmc_samples_total", help="telemetry sweeps completed"
-            ).inc()
+            self._volts[label].set(regulator.vout)
+            self._amps[label].set(regulator.iout)
+            self._watts[label].set(regulator.vout * regulator.iout)
+        self._sweeps[()].inc()
 
     def run_phases(self, phases: Sequence[Phase]) -> None:
         """Execute phases, sampling throughout."""

@@ -20,6 +20,7 @@ from typing import Callable, List, Optional
 from ..bmc.console import ConsoleMux
 from ..bmc.power_manager import PowerManager
 from ..fpga.bitstream import Bitstream, ConfigPort, eci_shell_bitstream
+from ..obs import NULL_REGISTRY
 from .bdk import Bdk, SimulatedDram
 from .devicetree import enzian_topology, render_dts
 from .firmware import BootError, BootStage, FirmwareChain, standard_stages
@@ -57,8 +58,6 @@ class BootOrchestrator:
         stage_timeout_s: float = 5.0,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         if max_stage_retries < 0:
             raise ValueError("max_stage_retries must be non-negative")
         if stage_timeout_s <= 0:
@@ -82,7 +81,9 @@ class BootOrchestrator:
         #: comparison per milestone.
         self.health = None
         self.heartbeat = None
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._hangs = obs.family("counter", "boot_stage_hangs_total", ("stage",))
+        self._retries = obs.family("counter", "boot_stage_retries_total", ("stage",))
 
     @property
     def clock(self):
@@ -155,10 +156,7 @@ class BootOrchestrator:
             try:
                 if injected == "hang":
                     self.clock.advance(self.stage_timeout_s)
-                    if self.obs:
-                        self.obs.counter(
-                            "boot_stage_hangs_total", {"stage": stage.name}
-                        ).inc()
+                    self._hangs[stage.name].inc()
                     raise BootError(
                         f"stage {stage.name!r} hung (watchdog after "
                         f"{self.stage_timeout_s}s)"
@@ -178,10 +176,7 @@ class BootOrchestrator:
                 self.consoles.uarts["cpu0"].emit(
                     f"retrying stage {stage.name} (attempt {attempt + 1})"
                 )
-                if self.obs:
-                    self.obs.counter(
-                        "boot_stage_retries_total", {"stage": stage.name}
-                    ).inc()
+                self._retries[stage.name].inc()
 
     def boot_to_linux(self) -> None:
         """ATF -> UEFI -> Linux, with the generated device tree."""

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.report import render_table
+from ..obs import NULL_REGISTRY
 from .tree import PlatformConfig, preset
 
 __all__ = ["SweepPoint", "SweepResult", "expand_grid", "run_sweep"]
@@ -137,19 +138,19 @@ def run_sweep(
     a ``metric`` gauge labelled by the point's axis values, and a dict
     result as one gauge per key (``metric_<key>``).
     """
+    obs = obs if obs is not None else NULL_REGISTRY
     base_cfg = preset(base) if isinstance(base, str) else base
     points: List[SweepPoint] = []
     for overrides in expand_grid(axes):
         cfg = base_cfg.with_overrides(overrides)
         result = fn(cfg)
-        if obs:
-            labels = {path: str(value) for path, value in overrides.items()}
-            if isinstance(result, Mapping):
-                for key, value in result.items():
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        obs.gauge(f"{metric}_{key}", labels).set(float(value))
-            elif isinstance(result, (int, float)) and not isinstance(result, bool):
-                obs.gauge(metric, labels).set(float(result))
+        labels = {path: str(value) for path, value in overrides.items()}
+        if isinstance(result, Mapping):
+            for key, value in result.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    obs.gauge(f"{metric}_{key}", labels).set(float(value))
+        elif isinstance(result, (int, float)) and not isinstance(result, bool):
+            obs.gauge(metric, labels).set(float(result))
         points.append(SweepPoint(tuple(overrides.items()), cfg, result))
     return SweepResult(list(axes), points)
 

@@ -127,6 +127,17 @@ class EciLinkTransport(Transport):
     ):
         super().__init__(kernel, obs=obs)
         self.params = params or EciLinkParams()
+        obs = self.obs
+        self._credit_stalls = obs.family("counter", "eci_credit_stalls_total", ("vc",))
+        self._link_bytes = obs.family("counter", "eci_link_bytes_total", ("link",))
+        self._queueing = obs.family(
+            "histogram", "eci_link_queueing_ns", help="serializer wait before transmit"
+        )
+        self._crc_errors = obs.family("counter", "eci_crc_errors_total", ("vc",))
+        self._lost = obs.family("counter", "eci_messages_lost_total")
+        self._retransmits = obs.family("counter", "eci_link_retransmits_total")
+        self._retrains = obs.family("counter", "eci_retrains_total", ("link",))
+        self._lanes = obs.family("gauge", "eci_link_lanes", ("link",))
         # (link index, src, dst) -> time the serializer frees up
         self._free_at: Dict[Tuple[int, int, int], float] = {}
         # (link index, src, dst) -> FIFO of (arrival, message, retries,
@@ -201,10 +212,7 @@ class EciLinkTransport(Transport):
             if available <= 0:
                 # No buffer at the receiver for this VC: park the message.
                 self.stats["credit_stalls"] += 1
-                if self.obs:
-                    self.obs.counter(
-                        "eci_credit_stalls_total", {"vc": message.vc.name}
-                    ).inc()
+                self._credit_stalls[message.vc].inc()
                 self._waiting.setdefault(vc_key, deque()).append((message, retries))
                 return
             self._credits[vc_key] = available - 1
@@ -225,13 +233,8 @@ class EciLinkTransport(Transport):
         stats["messages"] += 1
         stats["bytes_per_link"][link] += wire_bytes
         stats["queueing_ns"] += start - now
-        if self.obs:
-            self.obs.counter(
-                "eci_link_bytes_total", {"link": str(link)}
-            ).inc(wire_bytes)
-            self.obs.histogram(
-                "eci_link_queueing_ns", help="serializer wait before transmit"
-            ).observe(start - now)
+        self._link_bytes[link].inc(wire_bytes)
+        self._queueing[()].observe(start - now)
         corrupt = False
         if self._corrupt_next:
             self._corrupt_next -= 1
@@ -279,10 +282,7 @@ class EciLinkTransport(Transport):
     def _arrive_corrupt(self, message: Message, retries: int, link: int) -> None:
         """A message whose CRC fails at the receiver: drain, NAK, go back."""
         self.stats["crc_errors"] += 1
-        if self.obs:
-            self.obs.counter(
-                "eci_crc_errors_total", {"vc": message.vc.name}
-            ).inc()
+        self._crc_errors[message.vc].inc()
         if self.on_crc_error is not None:
             # Health policy callback: may renegotiate this link's lanes.
             self.on_crc_error(link)
@@ -297,12 +297,10 @@ class EciLinkTransport(Transport):
             )
         if retries >= self.params.crc_retry_limit:
             self.stats["messages_lost"] += 1
-            if self.obs:
-                self.obs.counter("eci_messages_lost_total").inc()
+            self._lost[()].inc()
             return
         self.stats["retransmits"] += 1
-        if self.obs:
-            self.obs.counter("eci_link_retransmits_total").inc()
+        self._retransmits[()].inc()
         # NAK propagates back to the sender, which re-queues the message.
         self.kernel.call_after(
             self._propagation_ns, self._readmit, (message, retries + 1)
@@ -351,9 +349,8 @@ class EciLinkTransport(Transport):
             self._retrain_until[link], self.kernel.now + duration
         )
         self.stats["retrains"] += 1
-        if self.obs:
-            self.obs.counter("eci_retrains_total", {"link": str(link)}).inc()
-            self.obs.gauge("eci_link_lanes", {"link": str(link)}).set(lanes)
+        self._retrains[link].inc()
+        self._lanes[link].set(lanes)
 
     def restore_lanes(self, link: int, retrain_ns: Optional[float] = None) -> None:
         """Bring ``link`` back to full width (another retraining cycle)."""

@@ -33,6 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from ..obs import NULL_REGISTRY
 from ..sim import Channel, Event, Kernel, SimulationError
 from .messages import (
     CACHE_LINE_BYTES,
@@ -90,12 +91,12 @@ class Transport:
     """
 
     def __init__(self, kernel: Kernel, obs=None):
-        from ..obs import NULL_REGISTRY
-
         self.kernel = kernel
         self._nodes: Dict[int, "ProtocolNode"] = {}
         self.observers: list[Callable[[float, Message], None]] = []
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = registry = obs if obs is not None else NULL_REGISTRY
+        self._messages = registry.family("counter", "eci_messages_total", ("vc",))
+        self._bytes = registry.family("counter", "eci_bytes_total", ("vc",))
         if obs is not None:
             obs.use_clock(lambda: self.kernel.now, override=False)
 
@@ -107,10 +108,8 @@ class Transport:
     def send(self, message: Message) -> None:
         for observer in self.observers:
             observer(self.kernel.now, message)
-        if self.obs:
-            vc = {"vc": message.vc.name}
-            self.obs.counter("eci_messages_total", vc).inc()
-            self.obs.counter("eci_bytes_total", vc).inc(message.wire_bytes)
+        self._messages[message.vc].inc()
+        self._bytes[message.vc].inc(message.wire_bytes)
         self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
@@ -206,17 +205,9 @@ class CacheAgent(ProtocolNode):
             "probes": 0,
         }
         self.obs = transport.obs
-        if self.obs:
-            self.state_observers.append(self._observe_transition)
-
-    def _observe_transition(
-        self, node: int, addr: int, old: CacheState, new: CacheState
-    ) -> None:
-        if old is not new:
-            self.obs.counter(
-                "eci_state_transitions_total",
-                {"node": self.name, "from": old.value, "to": new.value},
-            ).inc()
+        self._transitions = self.obs.family(
+            "counter", "eci_state_transitions_total", ("node", "from", "to")
+        )
 
     # -- public API (simulation processes) ------------------------------
 
@@ -318,6 +309,8 @@ class CacheAgent(ProtocolNode):
     def _set_state(self, addr: int, line: CacheLine, new: CacheState) -> None:
         old = line.state
         line.state = new
+        if old is not new:
+            self._transitions[self.name, old.value, new.value].inc()
         for observer in self.state_observers:
             observer(self.node_id, addr, old, new)
 
@@ -586,7 +579,11 @@ class HomeAgent(ProtocolNode):
             "fnak_retries": 0,
             "io_ops": 0,
         }
-        self.obs = transport.obs
+        self.obs = obs = transport.obs
+        self._requests = obs.family("counter", "eci_home_requests_total", ("type",))
+        self._writebacks = obs.family("counter", "eci_writebacks_total", ("type",))
+        self._forwards = obs.family("counter", "eci_forwards_total", ("type",))
+        self._fnak_retries = obs.family("counter", "eci_fnak_retries_total")
 
     # -- message intake ---------------------------------------------------
 
@@ -647,20 +644,14 @@ class HomeAgent(ProtocolNode):
                 self._apply_writeback(message)
             elif message.mtype in (MessageType.RLDS, MessageType.RLDD, MessageType.RSTD):
                 self.stats["requests"] += 1
-                if self.obs:
-                    self.obs.counter(
-                        "eci_home_requests_total", {"type": message.mtype.name}
-                    ).inc()
+                self._requests[message.mtype].inc()
                 yield from self._handle_request(addr, queue, message)
             else:
                 raise ProtocolError(f"{self.name}: unexpected on line queue: {message}")
 
     def _apply_writeback(self, message: Message) -> None:
         self.stats["writebacks"] += 1
-        if self.obs:
-            self.obs.counter(
-                "eci_writebacks_total", {"type": message.mtype.name}
-            ).inc()
+        self._writebacks[message.mtype].inc()
         addr = line_address(message.addr)
         entry = self.directory.setdefault(addr, DirectoryEntry())
         if message.mtype is MessageType.VICD:
@@ -807,8 +798,7 @@ class HomeAgent(ProtocolNode):
         self.stats["forwards"] += 1
         if mtype is MessageType.FINV:
             self.stats["invalidations"] += 1
-        if self.obs:
-            self.obs.counter("eci_forwards_total", {"type": mtype.name}).inc()
+        self._forwards[mtype].inc()
         probe_txid = next(self._probe_txids)
         done = Event(f"{self.name}.probe{probe_txid}->{target}")
         self._completion_waiters[probe_txid] = done
@@ -828,8 +818,7 @@ class HomeAgent(ProtocolNode):
         # FNAK: a VICD/VICC from the target is in flight; wait for it on
         # this line's queue, apply it, and report the miss.
         self.stats["fnak_retries"] += 1
-        if self.obs:
-            self.obs.counter("eci_fnak_retries_total").inc()
+        self._fnak_retries[()].inc()
         yield from self._absorb_writeback_from(addr, queue, target)
         return False
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..bmc.pmbus import StatusBit
+from ..obs import NULL_REGISTRY
 from .plan import FaultSpec, FaultsConfig
 
 #: Map of PMBus-fault kinds onto the STATUS bits they set.
@@ -68,10 +69,9 @@ class FaultInjector:
     """Arms a fault plan onto subsystems and records every injection."""
 
     def __init__(self, plan: FaultsConfig, obs=None):
-        from ..obs import NULL_REGISTRY
-
         self.plan = plan
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._injected = obs.family("counter", "faults_injected_total", ("site", "kind"))
         self._pending: List[_Pending] = [
             _Pending(spec, spec.count) for spec in plan.events
         ]
@@ -82,10 +82,7 @@ class FaultInjector:
 
     def record(self, t: float, site: str, kind: str, detail: str = "") -> None:
         self.trace.append((t, site, kind, detail))
-        if self.obs:
-            self.obs.counter(
-                "faults_injected_total", {"site": site, "kind": kind}
-            ).inc()
+        self._injected[site, kind].inc()
 
     def injected_kinds(self) -> set:
         """Distinct fault kinds that actually fired."""

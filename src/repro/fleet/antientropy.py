@@ -46,6 +46,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Tuple
 
+from ..obs import NULL_REGISTRY
 from .config import AntiEntropyConfig
 from .kvs import NO_VERSION
 from .placement import key_hash
@@ -180,8 +181,6 @@ class AntiEntropyScheduler:
         config: Optional[AntiEntropyConfig] = None,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         # ``rack=None`` builds a *detached* scheduler (config required):
         # checkpoint restore constructs one before the restored rack
         # exists, re-materializes its state, then re-points ``.rack``.
@@ -191,7 +190,7 @@ class AntiEntropyScheduler:
         self.config = config if config is not None else rack.fleet.anti_entropy
         if obs is None:
             obs = rack.obs if rack is not None else None
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self._bind(obs if obs is not None else NULL_REGISTRY)
         self._until: Optional[float] = None
         self.stats = {
             "passes": 0,
@@ -206,11 +205,19 @@ class AntiEntropyScheduler:
     def attach(self, rack) -> None:
         """Point a detached (restore-path) scheduler at its rack,
         adopting the rack's registry when none was supplied."""
-        from ..obs import NULL_REGISTRY
-
         self.rack = rack
         if self.obs is NULL_REGISTRY and rack.obs is not None:
-            self.obs = rack.obs
+            self._bind(rack.obs)
+
+    def _bind(self, obs) -> None:
+        self.obs = obs
+        self._passes = obs.family("counter", "fleet_antientropy_passes_total")
+        self._skipped = obs.family("counter", "fleet_antientropy_skipped_total", ("reason",))
+        self._repairs = obs.family("counter", "fleet_antientropy_repairs_total")
+        self._diverged = obs.family("counter", "fleet_antientropy_ranges_diverged_total")
+        self._repaired_keys = obs.family(
+            "counter", "fleet_antientropy_repaired_keys_total", ("machine",)
+        )
 
     # -- background window ---------------------------------------------------
 
@@ -252,14 +259,10 @@ class AntiEntropyScheduler:
         rack = self.rack
         rack.maybe_heal()
         self.stats["passes"] += 1
-        if self.obs:
-            self.obs.counter("fleet_antientropy_passes_total").inc()
+        self._passes[()].inc()
         if rack.active_partition is not None:
             self.stats["skipped_partition"] += 1
-            if self.obs:
-                self.obs.counter(
-                    "fleet_antientropy_skipped_total", {"reason": "partition"}
-                ).inc()
+            self._skipped["partition"].inc()
             return 0
         members = sorted(
             name
@@ -272,8 +275,8 @@ class AntiEntropyScheduler:
             for b in members[i + 1:]:
                 repaired += self._sync_pair(a, b, epoch)
         self.stats["repairs_applied"] += repaired
-        if repaired and self.obs:
-            self.obs.counter("fleet_antientropy_repairs_total").inc(repaired)
+        if repaired:
+            self._repairs[()].inc(repaired)
         return repaired
 
     def _sync_pair(self, a: str, b: str, epoch: int) -> int:
@@ -283,10 +286,7 @@ class AntiEntropyScheduler:
             # A server the fence has not reached holds a stale view;
             # syncing it now could resurrect fenced-off state.
             self.stats["skipped_stale_epoch"] += 1
-            if self.obs:
-                self.obs.counter(
-                    "fleet_antientropy_skipped_total", {"reason": "stale_epoch"}
-                ).inc()
+            self._skipped["stale_epoch"].inc()
             return 0
         entries_a = _shared_entries(rack, a, b)
         entries_b = _shared_entries(rack, b, a)
@@ -299,10 +299,7 @@ class AntiEntropyScheduler:
         if not divergent:
             return 0
         self.stats["ranges_diverged"] += len(divergent)
-        if self.obs:
-            self.obs.counter("fleet_antientropy_ranges_diverged_total").inc(
-                len(divergent)
-            )
+        self._diverged[()].inc(len(divergent))
         repaired = 0
         for leaf in divergent:
             keys = sorted(set(tree_a.buckets[leaf]) | set(tree_b.buckets[leaf]))
@@ -340,11 +337,8 @@ class AntiEntropyScheduler:
             applied = True
         else:
             applied = False
-        if applied and self.obs:
-            self.obs.counter(
-                "fleet_antientropy_repaired_keys_total",
-                {"machine": target.name},
-            ).inc()
+        if applied:
+            self._repaired_keys[target.name].inc()
         return 1 if applied else 0
 
     # -- checkpoint/restore (repro.snap) -------------------------------------

@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..apps.kvs import HashTableStore
 from ..net.ethernet import EthernetLink, Frame
+from ..obs import NULL_REGISTRY
 from ..sim import AllOf, AnyOf, Event, Kernel, Timeout
 from .errors import FleetError
 
@@ -157,14 +158,16 @@ class KvsShardServer:
         obs=None,
         strict_epoch: bool = False,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.kernel = kernel
         self.name = name
         self.link = link
         self.store = store
         self.service_ns = service_ns
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._stale_rejects = obs.family(
+            "counter", "fleet_stale_epoch_rejects_total", ("machine",)
+        )
+        self._ops = obs.family("counter", "fleet_kvs_ops_total", ("machine", "op"))
         #: Reject writes whose epoch is not exactly ours (quorum mode).
         self.strict_epoch = strict_epoch
         self.address = f"{name}#kvs"
@@ -351,10 +354,7 @@ class KvsShardServer:
             return
         if self._stale_epoch(request):
             self.stats["stale_epoch_rejects"] += 1
-            if self.obs:
-                self.obs.counter(
-                    "fleet_stale_epoch_rejects_total", {"machine": self.name}
-                ).inc()
+            self._stale_rejects[self.name].inc()
             if request.op not in ("hint", "repair"):
                 self._respond(
                     request,
@@ -414,10 +414,7 @@ class KvsShardServer:
             ok = False
             self.stats["errors"] += 1
         self.stats["served"] += 1
-        if self.obs:
-            self.obs.counter(
-                "fleet_kvs_ops_total", {"machine": self.name, "op": request.op}
-            ).inc()
+        self._ops[self.name, request.op].inc()
         self._respond(
             request,
             KvsResponse(
@@ -525,12 +522,15 @@ class FleetKvsClient:
         address: str = "client0",
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.kernel = kernel
         self.rack = rack
         self.link = link
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._latency = obs.family(
+            "histogram", "fleet_request_latency_ns", ("op", "machine"), base=1.25
+        )
+        self._hints_sent = obs.family("counter", "fleet_hints_sent_total")
+        self._read_repairs = obs.family("counter", "fleet_read_repairs_total")
         self.address = f"{address}#kvs"
         self._txid = 0
         self._waiters: Dict[int, object] = {}
@@ -644,14 +644,6 @@ class FleetKvsClient:
             )
         )
 
-    def _observe(self, op: str, machine: str, elapsed_ns: float) -> None:
-        if self.obs:
-            self.obs.histogram(
-                "fleet_request_latency_ns",
-                {"op": op, "machine": machine},
-                base=1.25,
-            ).observe(elapsed_ns)
-
     # -- history hooks (linearizability audit) -------------------------------
 
     def _hist_invoke(self, op: str, key: bytes, arg: Optional[bytes]):
@@ -731,7 +723,7 @@ class FleetKvsClient:
             if index == 0 and all(r.ok for r in result):
                 self.stats["puts_acked"] += 1
                 self.acked[bytes(key)] = bytes(value)
-                self._observe("put", targets[0], self.kernel.now - start)
+                self._latency["put", targets[0]].observe(self.kernel.now - start)
                 return targets
             self._retire(waiters)
             self._attempt_failed(index == 0, attempt)
@@ -747,7 +739,7 @@ class FleetKvsClient:
             index, result = yield AnyOf([waiter, Timeout(self.timeout_ns)])
             if index == 0 and result.ok:
                 self.stats["gets"] += 1
-                self._observe("get", primary, self.kernel.now - start)
+                self._latency["get", primary].observe(self.kernel.now - start)
                 return result.value
             self._retire([waiter])
             self._attempt_failed(index == 0, attempt)
@@ -767,7 +759,7 @@ class FleetKvsClient:
             if index == 0 and not any(r.error for r in result):
                 self.stats["deletes"] += 1
                 self.acked.pop(bytes(key), None)
-                self._observe("delete", targets[0], self.kernel.now - start)
+                self._latency["delete", targets[0]].observe(self.kernel.now - start)
                 return all(r.ok for r in result)
             self._retire(waiters)
             self._attempt_failed(index == 0, attempt)
@@ -822,7 +814,7 @@ class FleetKvsClient:
                 else:
                     self.stats["deletes"] += 1
                     self.acked.pop(bytes(key), None)
-                self._observe(op, primary, self.kernel.now - start)
+                self._latency[op, primary].observe(self.kernel.now - start)
                 return targets
             self._retire_txids([txid])
             if index == 0:
@@ -875,8 +867,8 @@ class FleetKvsClient:
                 )
                 self.stats["hints_sent"] += 1
                 hinted += 1
-        if hinted and self.obs:
-            self.obs.counter("fleet_hints_sent_total").inc(hinted)
+        if hinted:
+            self._hints_sent[()].inc(hinted)
 
     def _target_reachable(self, target: str) -> bool:
         """Can a frame from this client reach ``target`` right now?
@@ -913,7 +905,7 @@ class FleetKvsClient:
                 if best_version > NO_VERSION:
                     self._read_repair(key, targets, result, best)
                 self.stats["gets"] += 1
-                self._observe("get", best.machine, self.kernel.now - start)
+                self._latency["get", best.machine].observe(self.kernel.now - start)
                 return best.value
             if index == 0:
                 self.stats["quorum_rejects"] += 1
@@ -939,8 +931,7 @@ class FleetKvsClient:
             )
         if stale:
             self.stats["read_repairs"] += len(stale)
-            if self.obs:
-                self.obs.counter("fleet_read_repairs_total").inc(len(stale))
+            self._read_repairs[()].inc(len(stale))
 
     # -- checkpoint/restore (repro.snap) ---------------------------------
     #

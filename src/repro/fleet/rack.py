@@ -48,6 +48,7 @@ from ..apps.kvs import HashTableStore
 from ..health.state import HealthStateMachine
 from ..net.ethernet import EthernetLink
 from ..net.switch import Switch, star_topology
+from ..obs import NULL_REGISTRY
 from ..sim import Kernel
 from .config import FleetConfig
 from .errors import FleetError
@@ -106,7 +107,6 @@ class Rack:
         obs=None,
     ):
         from ..config import preset  # lazy: the config tree imports fleet.config
-        from ..obs import NULL_REGISTRY
 
         if fleet is None:
             fleet = FleetConfig(enabled=True)
@@ -116,7 +116,15 @@ class Rack:
                 "before building a Rack"
             )
         self.fleet = fleet
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = registry = obs if obs is not None else NULL_REGISTRY
+        self._machines_live = registry.gauge("fleet_machines_live")
+        self._epoch_bumps = registry.family("counter", "fleet_epoch_bumps_total", ("reason",))
+        self._partitions = registry.family("counter", "fleet_partitions_total")
+        self._heals = registry.family("counter", "fleet_partition_heals_total")
+        self._hints_drained = registry.family("counter", "fleet_hints_drained_total")
+        self._failovers = registry.family("counter", "fleet_failovers_total", ("machine",))
+        self._rereplicated = registry.family("counter", "fleet_rereplicated_keys_total")
+        self._rejoins = registry.family("counter", "fleet_rejoins_total", ("machine",))
         self.kernel = kernel if kernel is not None else Kernel(seed=fleet.seed)
         if obs is not None:
             obs.use_clock(lambda: self.kernel.now, override=False)
@@ -158,8 +166,7 @@ class Rack:
         #: mirrors out-of-band liveness changes into them so a recorded
         #: board can be replayed in isolation.
         self.taps: Dict[str, object] = {}
-        if self.obs:
-            self.obs.gauge("fleet_machines_live").set(len(names))
+        self._machines_live.set(len(names))
 
     # -- clients -------------------------------------------------------------
 
@@ -201,8 +208,7 @@ class Rack:
         """Advance the quorum epoch and fence the controller side."""
         self.ring_epoch += 1
         self._fence(self._controller_side())
-        if self.obs:
-            self.obs.counter("fleet_epoch_bumps_total", {"reason": reason}).inc()
+        self._epoch_bumps[reason].inc()
         return self.ring_epoch
 
     # -- partitions ----------------------------------------------------------
@@ -231,8 +237,7 @@ class Rack:
         detail = self.describe_partition()
         self.partitions.append((self.kernel.now, "start", detail))
         self._bump_epoch("partition")
-        if self.obs:
-            self.obs.counter("fleet_partitions_total").inc()
+        self._partitions[()].inc()
 
     def describe_partition(self) -> str:
         if self.active_partition is None:
@@ -275,8 +280,7 @@ class Rack:
         self.partitions.append(
             (self.kernel.now, "heal", f"hints_drained={drained}")
         )
-        if self.obs:
-            self.obs.counter("fleet_partition_heals_total").inc()
+        self._heals[()].inc()
 
     def _drain_hints(self) -> int:
         """Deliver queued hinted handoffs to their (now reachable) targets.
@@ -305,8 +309,8 @@ class Rack:
                 for key, value, version, tombstone in entries:
                     if machine.server.apply_hint(key, value, version, tombstone):
                         drained += 1
-        if drained and self.obs:
-            self.obs.counter("fleet_hints_drained_total").inc(drained)
+        if drained:
+            self._hints_drained[()].inc(drained)
         return drained
 
     # -- failure / failover --------------------------------------------------
@@ -353,12 +357,10 @@ class Rack:
                 detail = "last machine down; ring unchanged"
             removed.append(name)
             self.failovers.append((self.kernel.now, name, detail))
-            if self.obs:
-                self.obs.counter("fleet_failovers_total", {"machine": name}).inc()
+            self._failovers[name].inc()
         if removed:
             self._bump_epoch("membership")
-            if self.obs:
-                self.obs.gauge("fleet_machines_live").set(len(self.live_machines()))
+            self._machines_live.set(len(self.live_machines()))
         return removed
 
     # -- durability repair / rejoin ------------------------------------------
@@ -396,8 +398,8 @@ class Rack:
                     elif machine.store.get(key) is None:
                         machine.store.put(key, value)
                         copied += 1
-        if copied and self.obs:
-            self.obs.counter("fleet_rereplicated_keys_total").inc(copied)
+        if copied:
+            self._rereplicated[()].inc(copied)
         return copied
 
     def rejoin(self, name: str, reason: str = "rejoined") -> bool:
@@ -441,9 +443,8 @@ class Rack:
         if tap is not None:
             tap.control("up")
         self.failovers.append((self.kernel.now, name, "rejoined ring"))
-        if self.obs:
-            self.obs.counter("fleet_rejoins_total", {"machine": name}).inc()
-            self.obs.gauge("fleet_machines_live").set(len(self.live_machines()))
+        self._rejoins[name].inc()
+        self._machines_live.set(len(self.live_machines()))
         self.re_replicate()
         self._drain_hints()
         return True

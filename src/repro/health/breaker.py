@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, List, Tuple
 
+from ..obs import NULL_REGISTRY
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -45,8 +47,6 @@ class CircuitBreaker:
         half_open_probes: int = 1,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if reset_ns <= 0:
@@ -58,7 +58,9 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.reset_ns = reset_ns
         self.half_open_probes = half_open_probes
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._transitions = obs.family("counter", "breaker_transitions_total", ("name", "to"))
+        self._rejections = obs.family("counter", "breaker_rejections_total", ("name",))
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self._opened_at = 0.0
@@ -74,11 +76,7 @@ class CircuitBreaker:
             return
         self.state = state
         self.transitions.append((self.clock(), state.value))
-        if self.obs:
-            self.obs.counter(
-                "breaker_transitions_total",
-                {"name": self.name, "to": state.value},
-            ).inc()
+        self._transitions[self.name, state.value].inc()
 
     # -- admission -----------------------------------------------------------
 
@@ -102,10 +100,7 @@ class CircuitBreaker:
     def check(self) -> None:
         """Raise :class:`CircuitOpenError` unless a call may proceed."""
         if not self.allow():
-            if self.obs:
-                self.obs.counter(
-                    "breaker_rejections_total", {"name": self.name}
-                ).inc()
+            self._rejections[self.name].inc()
             raise CircuitOpenError(self.name, self._opened_at + self.reset_ns)
 
     # -- outcome reporting ---------------------------------------------------

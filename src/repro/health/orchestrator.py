@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..obs import NULL_REGISTRY
 from .config import RecoveryLadderConfig
 from .state import HealthStateMachine
 
@@ -45,13 +46,13 @@ class RecoveryOrchestrator:
         health: Optional[HealthStateMachine] = None,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.config = config
         self.clock = clock
         self.rng = rng if rng is not None else random.Random(0)
         self.health = health
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._attempts = obs.family("counter", "recovery_attempts_total", ("level",))
+        self._escalations = obs.family("counter", "recovery_escalations_total")
         #: Every attempt, as ``level:attempt`` strings in execution order.
         self.steps: List[str] = []
         self.last_error: Optional[BaseException] = None
@@ -69,10 +70,7 @@ class RecoveryOrchestrator:
         for index, (level, action) in enumerate(ladder):
             for attempt in range(1, self.config.attempts_per_level + 1):
                 self.steps.append(f"{level}:{attempt}")
-                if self.obs:
-                    self.obs.counter(
-                        "recovery_attempts_total", {"level": level}
-                    ).inc()
+                self._attempts[level].inc()
                 try:
                     if action():
                         if self.health is not None:
@@ -83,8 +81,7 @@ class RecoveryOrchestrator:
                     self.last_error = exc
                 self.clock.advance(self._backoff(attempt))
             if index + 1 < len(ladder):
-                if self.obs:
-                    self.obs.counter("recovery_escalations_total").inc()
+                self._escalations[()].inc()
                 if self.health is not None:
                     # Re-enter RECOVERING is a no-op; log the escalation.
                     self.health.recovering(f"escalating past {level}")

@@ -27,6 +27,7 @@ from collections import deque
 from typing import Deque, List, Tuple
 
 from ..bmc.pmbus import StatusBit
+from ..obs import NULL_REGISTRY
 from .config import EciHealthConfig, PowerHealthConfig
 from .state import HealthStateMachine
 
@@ -47,13 +48,13 @@ class EciDegradationPolicy:
         health: HealthStateMachine,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.transport = transport
         self.kernel = kernel
         self.params = params
         self.health = health
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._renegotiations = obs.family("counter", "health_lane_renegotiations_total", ("link",))
+        self._lanes = obs.family("gauge", "health_link_lanes", ("link",))
         links = transport.params.links
         self._windows: List[Deque[float]] = [deque() for _ in range(links)]
         self.renegotiations = [0] * links
@@ -89,11 +90,8 @@ class EciDegradationPolicy:
         self.transport.fault_rate *= self.params.relief_factor
         self.events.append((now, link, lanes))
         self.health.degrade(f"link{link}: renegotiated to {lanes} lanes")
-        if self.obs:
-            self.obs.counter(
-                "health_lane_renegotiations_total", {"link": str(link)}
-            ).inc()
-            self.obs.gauge("health_link_lanes", {"link": str(link)}).set(lanes)
+        self._renegotiations[link].inc()
+        self._lanes[link].set(lanes)
 
 
 class PowerDegradationPolicy:
@@ -106,12 +104,11 @@ class PowerDegradationPolicy:
         health: HealthStateMachine,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.power = power
         self.params = params
         self.health = health
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._throttles = obs.family("counter", "power_throttle_events_total", ("rail",))
         self.throttle_events = 0
         #: Absorption log: (time, rail, decoded-status).
         self.events: List[Tuple[float, str, str]] = []
@@ -144,10 +141,7 @@ class PowerDegradationPolicy:
         )
         self.power.recover_rail(rail)
         self.health.degrade(f"rail {rail}: throttled ({decode_status(status)})")
-        if self.obs:
-            self.obs.counter(
-                "power_throttle_events_total", {"rail": rail}
-            ).inc()
+        self._throttles[rail].inc()
         return True
 
     def observe(self, label: str, rail: str, sample) -> None:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from ..obs import NULL_REGISTRY
+
 
 class HealthError(RuntimeError):
     """An illegal health transition (supervisor logic bug)."""
@@ -69,16 +71,17 @@ class HealthStateMachine:
         obs=None,
         clock: Optional[Callable[[], float]] = None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.subsystem = subsystem
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._transitions = obs.family(
+            "counter", "health_transitions_total", ("subsystem", "from", "to")
+        )
+        self._severity = obs.gauge("health_state", {"subsystem": subsystem})
         self._clock = clock
         self.state = HealthState.HEALTHY
         #: Transition log: (time, from, to, reason).
         self.history: List[Tuple[float, str, str, str]] = []
-        if self.obs:
-            self.obs.gauge("health_state", {"subsystem": subsystem}).set(0)
+        self._severity.set(0)
 
     @property
     def now(self) -> float:
@@ -100,18 +103,8 @@ class HealthStateMachine:
             )
         origin, self.state = self.state, target
         self.history.append((self.now, origin.value, target.value, reason))
-        if self.obs:
-            self.obs.counter(
-                "health_transitions_total",
-                {
-                    "subsystem": self.subsystem,
-                    "from": origin.value,
-                    "to": target.value,
-                },
-            ).inc()
-            self.obs.gauge("health_state", {"subsystem": self.subsystem}).set(
-                STATE_SEVERITY[target]
-            )
+        self._transitions[self.subsystem, origin.value, target.value].inc()
+        self._severity.set(STATE_SEVERITY[target])
         return True
 
     # -- checkpoint/restore (repro.snap) ---------------------------------

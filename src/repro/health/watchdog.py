@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from ..obs import NULL_REGISTRY
 from .state import HealthStateMachine
 
 
@@ -75,9 +76,8 @@ class Watchdog:
     """Owns every handle; detects and records silent stalls."""
 
     def __init__(self, obs=None):
-        from ..obs import NULL_REGISTRY
-
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._stalls = obs.family("counter", "watchdog_stalls_total", ("name",))
         self.handles: List[WatchdogHandle] = []
         #: Names of activities declared stalled, in detection order.
         self.stalls: List[str] = []
@@ -138,10 +138,7 @@ class Watchdog:
     def _declare_stall(self, handle: WatchdogHandle) -> None:
         handle.stalled = True
         self.stalls.append(handle.name)
-        if self.obs:
-            self.obs.counter(
-                "watchdog_stalls_total", {"name": handle.name}
-            ).inc()
+        self._stalls[handle.name].inc()
         if handle.health is not None:
             handle.health.fail(f"watchdog: {handle.name} stalled")
         if handle.on_stall is not None:

@@ -21,6 +21,7 @@ from typing import Dict, Optional
 from ..eci.transfer import simulate_transfer
 from ..interconnect.pcie import PcieModel, PcieParams
 from ..memory.dram import DramConfig, enzian_fpga_dram
+from ..obs import NULL_REGISTRY
 from ..sim.units import GIB, gbps_to_bytes_per_ns
 
 
@@ -91,11 +92,11 @@ class QueuePair:
     """The active side: issues verbs against a target."""
 
     def __init__(self, target: RdmaTarget, obs=None, breaker=None):
-        from ..obs import NULL_REGISTRY
-
         self.target = target
         self.completions = 0
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._ops = obs.family("counter", "net_rdma_ops_total", ("op",))
+        self._bytes = obs.family("counter", "net_rdma_bytes_total", ("op",))
         #: Optional :class:`repro.health.CircuitBreaker` guarding the
         #: verbs path; None (the default) costs one comparison per op.
         self.breaker = breaker
@@ -115,18 +116,14 @@ class QueuePair:
     def post_write(self, rkey: int, addr: int, data: bytes) -> None:
         self._guarded(RdmaOp.WRITE, rkey, addr, data)
         self.completions += 1
-        if self.obs:
-            op = {"op": "write"}
-            self.obs.counter("net_rdma_ops_total", op).inc()
-            self.obs.counter("net_rdma_bytes_total", op).inc(len(data))
+        self._ops["write"].inc()
+        self._bytes["write"].inc(len(data))
 
     def post_read(self, rkey: int, addr: int, length: int) -> bytes:
         result = self._guarded(RdmaOp.READ, rkey, addr, length=length)
         self.completions += 1
-        if self.obs:
-            op = {"op": "read"}
-            self.obs.counter("net_rdma_ops_total", op).inc()
-            self.obs.counter("net_rdma_bytes_total", op).inc(length)
+        self._ops["read"].inc()
+        self._bytes["read"].inc(length)
         return result
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..obs import NULL_REGISTRY
 from ..sim import Event, Kernel, Timeout
 from .ethernet import EthernetLink, Frame
 
@@ -66,9 +67,11 @@ class ReliableSender:
         breaker=None,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._acks = obs.family("counter", "net_acks_total")
+        self._segments_sent = obs.family("counter", "net_segments_sent_total")
+        self._aborted = obs.family("counter", "net_transfers_aborted_total")
+        self._retransmits = obs.family("counter", "net_retransmits_total")
         if window < 1:
             raise ValueError("window must be >= 1")
         if mtu < 64:
@@ -109,8 +112,7 @@ class ReliableSender:
         if segment.kind != "ack":
             return
         self.stats["acks"] += 1
-        if self.obs:
-            self.obs.counter("net_acks_total").inc()
+        self._acks[()].inc()
         if segment.seq > self.base:
             self.base = segment.seq
             if self._ack_event is not None and not self._ack_event.fired:
@@ -128,8 +130,7 @@ class ReliableSender:
             )
         )
         self.stats["sent"] += 1
-        if self.obs:
-            self.obs.counter("net_segments_sent_total").inc()
+        self._segments_sent[()].inc()
 
     def send(self, payload: bytes):
         """Process: reliably deliver ``payload``; returns stats dict."""
@@ -157,8 +158,7 @@ class ReliableSender:
                 retries += 1
                 if retries > self.max_retries:
                     self.stats["aborted"] += 1
-                    if self.obs:
-                        self.obs.counter("net_transfers_aborted_total").inc()
+                    self._aborted[()].inc()
                     if self.breaker is not None:
                         self.breaker.record_failure()
                     raise TransferAborted(
@@ -171,10 +171,7 @@ class ReliableSender:
                     # seeded RNG for per-seed determinism.
                     timeout_ns *= 1.0 + self.jitter * self.kernel.rng.random()
                 self.stats["retransmitted"] += self.next_seq - self.base
-                if self.obs:
-                    self.obs.counter("net_retransmits_total").inc(
-                        self.next_seq - self.base
-                    )
+                self._retransmits[()].inc(self.next_seq - self.base)
                 self.next_seq = self.base
             elif self.base != before:
                 retries = 0

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from ..obs import NULL_REGISTRY
 from ..sim import Kernel
 from .ethernet import EthernetLink, Frame
 
@@ -58,13 +59,14 @@ class Switch:
         egress_queueing: bool = False,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.kernel = kernel
         self.name = name
         self.forwarding_ns = forwarding_ns
         self.egress_queueing = egress_queueing
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._partition_drops = obs.family(
+            "counter", "fleet_partition_drops_total", ("src_group", "dst_group")
+        )
         self._mac_table: Dict[str, EthernetLink] = {}
         #: Per-egress-port occupancy (only maintained when queueing).
         self._egress_busy: Dict[str, float] = {}
@@ -178,14 +180,9 @@ class Switch:
                 # Dropped at ingress: no forwarding latency, no egress
                 # occupancy -- intra-group flows never feel the loss.
                 self.stats["dropped_partitioned"] += 1
-                if self.obs:
-                    self.obs.counter(
-                        "fleet_partition_drops_total",
-                        {
-                            "src_group": str(self._group_of.get(src_host, 0)),
-                            "dst_group": str(self._group_of.get(host, 0)),
-                        },
-                    ).inc()
+                self._partition_drops[
+                    self._group_of.get(src_host, 0), self._group_of.get(host, 0)
+                ].inc()
                 return
         self.stats["forwarded"] += 1
         # Store-and-forward: re-serialize on the egress link after the

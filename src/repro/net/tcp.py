@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs import NULL_REGISTRY
 from ..sim.units import gbps_to_bytes_per_ns
 
 HEADERS_BYTES = 78  # Ethernet + IP + TCP + framing overhead per packet
@@ -59,10 +60,12 @@ class FpgaTcpStack:
     """Performance model of the FPGA-terminated stack."""
 
     def __init__(self, params: FpgaTcpParams | None = None, obs=None):
-        from ..obs import NULL_REGISTRY
-
         self.params = params or FpgaTcpParams()
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._transfers = obs.family("counter", "net_tcp_transfers_total", ("stack",))
+        self._bytes = obs.family("counter", "net_tcp_bytes_total", ("stack",))
+        self._goodput = obs.family("gauge", "net_tcp_goodput_gbps", ("stack",))
+        self._latency = obs.family("histogram", "net_tcp_latency_ns", ("stack",))
 
     @classmethod
     def from_config(cls, config, obs=None) -> "FpgaTcpStack":
@@ -89,11 +92,9 @@ class FpgaTcpStack:
         p = self.params
         time_ns = transfer_bytes / rate + p.stack_latency_ns + p.network_latency_ns
         goodput = transfer_bytes / time_ns * 8
-        if self.obs:
-            stack = {"stack": "fpga"}
-            self.obs.counter("net_tcp_transfers_total", stack).inc()
-            self.obs.counter("net_tcp_bytes_total", stack).inc(transfer_bytes)
-            self.obs.gauge("net_tcp_goodput_gbps", stack).set(goodput)
+        self._transfers["fpga"].inc()
+        self._bytes["fpga"].inc(transfer_bytes)
+        self._goodput["fpga"].set(goodput)
         return goodput
 
     def one_way_latency_ns(self, transfer_bytes: int, mtu: int = 2048) -> float:
@@ -101,10 +102,7 @@ class FpgaTcpStack:
         p = self.params
         rate = min(self.pipeline_rate_bytes_per_ns(mtu), self.wire_rate_bytes_per_ns(mtu))
         latency = p.stack_latency_ns + p.network_latency_ns + transfer_bytes / rate
-        if self.obs:
-            self.obs.histogram(
-                "net_tcp_latency_ns", {"stack": "fpga"}
-            ).observe(latency)
+        self._latency["fpga"].observe(latency)
         return latency
 
 
@@ -112,10 +110,12 @@ class LinuxTcpStack:
     """Performance model of the kernel stack."""
 
     def __init__(self, params: LinuxTcpParams | None = None, obs=None):
-        from ..obs import NULL_REGISTRY
-
         self.params = params or LinuxTcpParams()
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._transfers = obs.family("counter", "net_tcp_transfers_total", ("stack",))
+        self._bytes = obs.family("counter", "net_tcp_bytes_total", ("stack",))
+        self._goodput = obs.family("gauge", "net_tcp_goodput_gbps", ("stack",))
+        self._latency = obs.family("histogram", "net_tcp_latency_ns", ("stack",))
 
     @classmethod
     def from_config(cls, config, obs=None) -> "LinuxTcpStack":
@@ -136,11 +136,9 @@ class LinuxTcpStack:
         rate = min(cpu_rate, wire)
         time_ns = transfer_bytes / rate + p.stack_latency_ns + p.network_latency_ns
         goodput = transfer_bytes / time_ns * 8
-        if self.obs:
-            stack = {"stack": "linux"}
-            self.obs.counter("net_tcp_transfers_total", stack).inc()
-            self.obs.counter("net_tcp_bytes_total", stack).inc(transfer_bytes)
-            self.obs.gauge("net_tcp_goodput_gbps", stack).set(goodput)
+        self._transfers["linux"].inc()
+        self._bytes["linux"].inc(transfer_bytes)
+        self._goodput["linux"].set(goodput)
         return goodput
 
     def one_way_latency_ns(self, transfer_bytes: int, mtu: int | None = None) -> float:
@@ -148,10 +146,7 @@ class LinuxTcpStack:
         rate = min(self.per_flow_rate_bytes_per_ns(),
                    gbps_to_bytes_per_ns(p.link_gbps))
         latency = p.stack_latency_ns + p.network_latency_ns + transfer_bytes / rate
-        if self.obs:
-            self.obs.histogram(
-                "net_tcp_latency_ns", {"stack": "linux"}
-            ).observe(latency)
+        self._latency["linux"].observe(latency)
         return latency
 
 

@@ -12,8 +12,8 @@ Usage::
     print(prometheus_text(obs))         # scrape-format snapshot
     log = events_jsonl(obs)             # replayable event log
 
-Components not given a registry default to :data:`NULL_REGISTRY` and
-pay (at most) one truthiness check per operation.
+Components not given a registry default to :data:`NULL_REGISTRY`, whose
+instruments are no-ops (see :mod:`repro.obs.metrics` on binding them).
 """
 
 from .export import (
@@ -29,6 +29,7 @@ from .metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -41,6 +42,7 @@ from .tracer import NULL_SPAN, NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

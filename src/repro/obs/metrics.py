@@ -9,17 +9,32 @@ into one :class:`MetricsRegistry`, stamped with *simulated* time
 
 Zero-overhead contract
 ----------------------
-Every instrumented component defaults to :data:`NULL_REGISTRY`, a
-null-object registry whose instruments are shared no-op singletons and
-which is *falsy*.  Hot paths gate their bookkeeping with
-``if self.obs: ...`` so that, with no registry attached, the only cost
-is a single truthiness check -- benchmark outputs are bit-identical
-with and without the hooks (covered by ``tests/obs``).
+A registry lookup (``counter``/``gauge``/``histogram``) sorts its label
+set and searches the instrument table, so no hot path makes one:
+
+* **Bind once.**  A series a component updates while it is built is
+  looked up then and kept as an attribute.
+* **Bind lazily per label set.**  Every other series goes through the
+  registry's shared :class:`Family` for its metric, taken when the
+  component is built; a family looks a series up on its first update.
+* **No guards.**  Unobserved components bind :data:`NULL_REGISTRY`'s
+  no-op instruments and call them; nothing sits in ``if self.obs:``.
+* **Update through** ``Counter.inc``, ``Gauge.set/inc/dec`` and
+  ``Histogram.observe``, never by assigning ``value``: the
+  ``perfbench`` ledger counts updates by wrapping these names.
+
+Model outputs are bit-identical with and without a registry attached
+(covered by ``tests/obs``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import enum
+import functools
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -76,9 +91,6 @@ class Instrument:
     def labels(self) -> dict:
         return dict(self.labels_key)
 
-    def _emit(self, value: float) -> None:
-        self._registry._record(self.kind, self.name, self.labels_key, value)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.labels})"
 
@@ -96,7 +108,8 @@ class Counter(Instrument):
         if amount < 0:
             raise ObsError(f"counter {self.name!r} can only increase, got {amount}")
         self.value += amount
-        self._emit(self.value)
+        if self._registry.record_events:
+            self._registry._record(self.kind, self.name, self.labels_key, self.value)
 
 
 class Gauge(Instrument):
@@ -110,7 +123,8 @@ class Gauge(Instrument):
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        self._emit(self.value)
+        if self._registry.record_events:
+            self._registry._record(self.kind, self.name, self.labels_key, self.value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
@@ -119,11 +133,28 @@ class Gauge(Instrument):
         self.set(self.value - amount)
 
 
+@functools.lru_cache(maxsize=None)
+def _bound_table(base: float) -> Tuple[float, ...]:
+    """Every positive finite ``base ** e`` in increasing ``e``, then
+    ``inf``.  The first is the smallest power that does not underflow
+    to zero, so its bucket starts at 0."""
+    low = 0
+    while base ** (low - 1) > 0.0:
+        low -= 1
+    bounds: List[float] = []
+    with contextlib.suppress(OverflowError):
+        while True:
+            bounds.append(base ** (low + len(bounds)))
+    return (*bounds, math.inf)
+
+
 class Histogram(Instrument):
     """Log-bucketed distribution: bucket *i* holds values in
     ``(base**(i-1), base**i]``; non-positive values share the
     :data:`ZERO_BUCKET`.  Exact powers of the base land on their own
     boundary (``observe(8)`` with base 2 goes to the ``le=8`` bucket).
+    Values above the largest finite power of the base land in an
+    ``inf`` bucket.
     """
 
     kind = "histogram"
@@ -133,6 +164,7 @@ class Histogram(Instrument):
         if base <= 1.0:
             raise ObsError(f"histogram base must be > 1, got {base}")
         self.base = float(base)
+        self._bounds = _bound_table(self.base)
         self._buckets: Dict[float, int] = {}
         self.count = 0
         self.sum = 0.0
@@ -141,12 +173,11 @@ class Histogram(Instrument):
 
     def bucket_bound(self, value: float) -> float:
         """Upper bound of the bucket ``value`` falls into."""
-        if value <= 0:
-            return ZERO_BUCKET
-        # Round before ceil so that exact powers of the base are not
-        # pushed up a bucket by floating-point log error.
-        exponent = math.ceil(round(math.log(value, self.base), 9))
-        return self.base ** exponent
+        if value > 0.0:
+            return self._bounds[bisect_left(self._bounds, value)]
+        if value != value:
+            raise ObsError(f"histogram {self.name!r} cannot bucket NaN")
+        return ZERO_BUCKET
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -154,9 +185,12 @@ class Histogram(Instrument):
         self._buckets[bound] = self._buckets.get(bound, 0) + 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        self._emit(value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        if self._registry.record_events:
+            self._registry._record(self.kind, self.name, self.labels_key, value)
 
     def buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, count) pairs, sorted by bound."""
@@ -189,6 +223,7 @@ class MetricsRegistry:
         self.dropped_events = 0
         self.events: List[ObsEvent] = []
         self._instruments: Dict[Tuple[str, LabelsKey], Instrument] = {}
+        self._families: Dict[str, Family] = {}
         # Imported here to avoid a cycle at module load time.
         from .tracer import Tracer
 
@@ -216,6 +251,11 @@ class MetricsRegistry:
                     f"metric {name!r}{dict(key)} already registered as "
                     f"{existing.kind}, requested {cls.kind}"
                 )
+            if "base" in kwargs and existing.base != float(kwargs["base"]):
+                raise ObsError(
+                    f"histogram {name!r}{dict(key)} already registered with "
+                    f"base {existing.base}, requested {kwargs['base']}"
+                )
             return existing
         instrument = cls(self, name, key, help=help, **kwargs)
         self._instruments[(name, key)] = instrument
@@ -232,6 +272,21 @@ class MetricsRegistry:
     def histogram(self, name: str, labels: Optional[Mapping] = None,
                   help: str = "", base: float = 2.0) -> Histogram:
         return self._get(Histogram, name, labels, help, base=base)
+
+    def family(self, kind: str, name: str, labels: Tuple[str, ...] = (),
+               **kwargs) -> Family:
+        """The one :class:`Family` of ``kind`` (``"counter"``, ``"gauge"``
+        or ``"histogram"``) series named ``name``, shared by every
+        component that declares it, so each series is looked up once."""
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = Family(self, kind, name, labels, **kwargs)
+        elif (family.kind, family.labels) != (kind, tuple(labels)):
+            raise ObsError(
+                f"metric family {name!r} already declared as {family.kind} "
+                f"{family.labels}, requested {kind} {tuple(labels)}"
+            )
+        return family
 
     # -- introspection ----------------------------------------------------
 
@@ -272,10 +327,10 @@ class MetricsRegistry:
     # -- checkpoint/restore (repro.snap) ---------------------------------
     #
     # The registry's state is every instrument's accumulated series plus
-    # the (optional) event log.  Restores are silent and wholesale: the
-    # instrument table and event list are replaced, so any updates a
-    # component emitted while being *re-constructed* (before restore)
-    # are discarded rather than double-counted.
+    # the (optional) event log.  A restore overwrites each checkpointed
+    # series in place (instruments components bound stay exported) and
+    # drops the rest, so updates emitted while a component was being
+    # *re-constructed* (before restore) are discarded, not double-counted.
 
     SNAP_VERSION = 1
 
@@ -312,31 +367,27 @@ class MetricsRegistry:
         }
 
     def restore_state(self, state: dict) -> None:
-        self._instruments = {}
-        factories = {
-            "counter": self.counter,
-            "gauge": self.gauge,
-            "histogram": self.histogram,
-        }
+        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        previous, self._instruments = self._instruments, {}
         for entry in state["instruments"]:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            kind = entry["kind"]
-            if kind == "histogram":
-                metric = self.histogram(
-                    entry["name"], labels, help=entry["help"], base=entry["base"]
-                )
-                metric.count = entry["count"]
-                metric.sum = entry["sum"]
-                metric.min = entry["min"]
-                metric.max = entry["max"]
-                metric._buckets = {
-                    float(bound): count for bound, count in entry["buckets"]
-                }
-            elif kind in factories:
-                metric = factories[kind](entry["name"], labels, help=entry["help"])
-                metric.value = entry["value"]
+            cls = kinds.get(entry["kind"])
+            if cls is None:
+                raise ObsError(f"unknown instrument kind {entry['kind']!r} in snapshot")
+            key = (entry["name"], labels_key(dict(entry["labels"])))
+            extra = {"base": entry["base"]} if cls is Histogram else {}
+            metric = previous.get(key)
+            if type(metric) is not cls or getattr(metric, "base", None) != extra.get("base"):
+                metric = cls(self, *key, **extra)
+            self._instruments[key] = metric
+            metric.help = entry["help"]
+            if cls is Histogram:
+                metric.count, metric.sum = entry["count"], entry["sum"]
+                metric.min, metric.max = entry["min"], entry["max"]
+                metric._buckets = {float(bound): n for bound, n in entry["buckets"]}
             else:
-                raise ObsError(f"unknown instrument kind {kind!r} in snapshot")
+                metric.value = entry["value"]
+        for family in self._families.values():
+            family.clear()  # re-bound on next use, to the restored series
         self.record_events = state["record_events"]
         self.max_events = state["max_events"]
         self.dropped_events = state["dropped_events"]
@@ -353,6 +404,46 @@ class MetricsRegistry:
             f"MetricsRegistry({len(self._instruments)} instruments, "
             f"{len(self.events)} events)"
         )
+
+
+class Family(dict):
+    """Every series of one metric in one registry, keyed by label
+    values and bound on first use; get it from
+    :meth:`MetricsRegistry.family`.
+
+    ``family[v]``, ``family[v1, v2]`` (in the order of ``labels``) or
+    ``family[()]`` is the series for those label values; an enum member
+    labels by its name.  A missing key costs one registry lookup and is
+    kept; a hit is a plain dict hit::
+
+        self._ops = obs.family("counter", "kvs_ops_total", ("machine", "op"))
+        ...
+        self._ops[self.name, request.op].inc()
+    """
+
+    __slots__ = ("_registry", "kind", "name", "labels", "_kwargs")
+
+    def __init__(self, registry, kind: str, name: str,
+                 labels: Tuple[str, ...] = (), **kwargs):
+        super().__init__()
+        self._registry = registry
+        self.kind = kind
+        self.name = name
+        self.labels = tuple(labels)
+        self._kwargs = kwargs
+
+    def __missing__(self, key):
+        values = key if isinstance(key, tuple) else (key,)
+        if len(values) != len(self.labels):
+            raise ObsError(
+                f"metric {self.name!r} takes labels {self.labels}, got {values!r}"
+            )
+        labels = {
+            label: value.name if isinstance(value, enum.Enum) else value
+            for label, value in zip(self.labels, values)
+        }
+        series = self[key] = getattr(self._registry, self.kind)(self.name, labels, **self._kwargs)
+        return series
 
 
 # -- null objects ----------------------------------------------------------
@@ -382,6 +473,11 @@ class _NullInstrument:
 
 
 NULL_INSTRUMENT = _NullInstrument()
+
+
+#: The one family of every null-registry metric: any label values map to
+#: :data:`NULL_INSTRUMENT`, so unobserved components share it.
+NULL_FAMILY: Dict[Any, _NullInstrument] = defaultdict(lambda: NULL_INSTRUMENT)
 
 
 class NullRegistry:
@@ -415,6 +511,9 @@ class NullRegistry:
 
     def histogram(self, name, labels=None, help="", base: float = 2.0) -> _NullInstrument:
         return NULL_INSTRUMENT
+
+    def family(self, kind: str, name: str, labels=(), **kwargs) -> Dict[Any, _NullInstrument]:
+        return NULL_FAMILY
 
     def metrics(self):
         return iter(())

@@ -16,7 +16,7 @@ replaying the common prefix per point.
 
 Restore ordering is load-bearing and documented in DESIGN.md §13:
 components restore silently onto a freshly built rack, the metrics
-registry restores *last* (wholesale, discarding whatever construction
+registry restores *last* (in place, discarding whatever construction
 emitted), and the kernel's clock/sequence/RNG restore closes it out.
 """
 
@@ -216,9 +216,10 @@ def restore_rack(checkpoint: Checkpoint, obs=None, extras: Dict[str, Any] = None
         )
     for name in sorted(saved_extras):
         restore(extras[name], saved_extras[name])
-    # The registry restores LAST (wholesale: construction-time emissions
-    # from the rebuild above are discarded), then the kernel closes out
-    # with clock, tie-break sequence, and RNG stream.
+    # The registry restores LAST (in place, so the instruments components
+    # bound stay exported; construction-time emissions from the rebuild
+    # above are discarded), then the kernel closes out with clock,
+    # tie-break sequence, and RNG stream.
     if states.get("obs") is not None and rack.obs:
         restore(rack.obs, states["obs"])
     restore(rack.kernel, states["kernel"])

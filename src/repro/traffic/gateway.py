@@ -43,6 +43,7 @@ from typing import Dict, List, Optional
 
 from ..fleet.kvs import FleetKvsError
 from ..health import CircuitBreaker
+from ..obs import NULL_REGISTRY
 from ..sim import AnyOf, Kernel, Timeout
 from .classes import Request
 from .config import GatewayConfig
@@ -147,12 +148,18 @@ class Gateway:
         clients: List,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
-
         self.kernel = kernel
         self.config = config
         self.clients = clients
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs = obs if obs is not None else NULL_REGISTRY
+        self._offered = obs.family("counter", "traffic_offered_total", ("class",))
+        self._rejections = obs.family("counter", "traffic_rejections_total", ("reason", "class"))
+        self._queue_depth = obs.family("gauge", "traffic_queue_depth")
+        self._retries = obs.family("counter", "traffic_retries_total", ("class",))
+        self._errors = obs.family("counter", "traffic_errors_total", ("class", "reason"))
+        self._hedges = obs.family("counter", "traffic_hedges_total", ("class",))
+        self._hedge_wins = obs.family("counter", "traffic_hedge_wins_total")
+        self._latency = obs.family("histogram", LATENCY_METRIC, ("class", "phase"), base=1.25)
         self.bucket = TokenBucket(config.admit_rps / 1e9, config.admit_burst)
         self.cache = LruCache(config.cache_slots)
         self.rejections: List[AdmissionRejected] = []
@@ -201,10 +208,7 @@ class Gateway:
         """Offer one request; returns True iff it entered the system
         (cache hit or admitted to the backend queue)."""
         self.stats["offered"] += 1
-        if self.obs:
-            self.obs.counter(
-                "traffic_offered_total", {"class": request.cls.kind}
-            ).inc()
+        self._offered[request.cls.kind].inc()
         if request.cls.cacheable and self.config.cache_slots:
             if self.cache.lookup(request.key) is not None:
                 self.stats["cache_hits"] += 1
@@ -248,11 +252,7 @@ class Gateway:
             self.rejections.append(
                 AdmissionRejected(reason, request.cls.kind, self.kernel.now)
             )
-        if self.obs:
-            self.obs.counter(
-                "traffic_rejections_total",
-                {"reason": reason, "class": request.cls.kind},
-            ).inc()
+        self._rejections[reason, request.cls.kind].inc()
         if request.done is not None:
             request.done.succeed(self.kernel, request)
 
@@ -283,8 +283,7 @@ class Gateway:
                 continue
             self.stats["batches"] += 1
             self.stats["batched_requests"] += len(batch)
-            if self.obs:
-                self.obs.gauge("traffic_queue_depth").set(len(self._queue))
+            self._queue_depth[()].set(len(self._queue))
             if config.batch_overhead_ns > 0:
                 yield Timeout(config.batch_overhead_ns)
             for request in batch:
@@ -350,10 +349,7 @@ class Gateway:
                     self.retry_tokens -= 1.0
                     attempts += 1
                     self.stats["retries"] += 1
-                    if self.obs:
-                        self.obs.counter(
-                            "traffic_retries_total", {"class": kind}
-                        ).inc()
+                    self._retries[kind].inc()
                     continue
                 self._fail(request, "backend")
                 return
@@ -365,11 +361,7 @@ class Gateway:
     def _fail(self, request: Request, reason: str) -> None:
         self.stats["errors"] += 1
         request.outcome = "error"
-        if self.obs:
-            self.obs.counter(
-                "traffic_errors_total",
-                {"class": request.cls.kind, "reason": reason},
-            ).inc()
+        self._errors[request.cls.kind, reason].inc()
         if request.done is not None:
             request.done.succeed(self.kernel, request)
 
@@ -406,10 +398,7 @@ class Gateway:
                 raise payload
             return payload
         self.stats["hedges"] += 1
-        if self.obs:
-            self.obs.counter(
-                "traffic_hedges_total", {"class": request.cls.kind}
-            ).inc()
+        self._hedges[request.cls.kind].inc()
         hedge_client = self.clients[
             (self.clients.index(client) + 1) % len(self.clients)
         ]
@@ -421,8 +410,7 @@ class Gateway:
         if status == "ok":
             if index == 1:
                 self.stats["hedge_wins"] += 1
-                if self.obs:
-                    self.obs.counter("traffic_hedge_wins_total").inc()
+                self._hedge_wins[()].inc()
             return payload
         # The finisher failed; the other leg may still succeed.
         other = second if index == 0 else first
@@ -430,8 +418,7 @@ class Gateway:
         if status == "ok":
             if other is second:
                 self.stats["hedge_wins"] += 1
-                if self.obs:
-                    self.obs.counter("traffic_hedge_wins_total").inc()
+                self._hedge_wins[()].inc()
             return payload
         raise payload
 
@@ -439,12 +426,9 @@ class Gateway:
         if not request.outcome:
             request.outcome = "served"
         self.stats["completed"] += 1
-        if self.obs:
-            self.obs.histogram(
-                LATENCY_METRIC,
-                {"class": request.cls.kind, "phase": request.phase},
-                base=1.25,
-            ).observe(self.kernel.now - request.submitted_ns)
+        self._latency[request.cls.kind, request.phase].observe(
+            self.kernel.now - request.submitted_ns
+        )
         if request.done is not None:
             request.done.succeed(self.kernel, request)
 

@@ -1,6 +1,11 @@
 """Registry, counter, gauge, and log-bucketed histogram behaviour."""
 
+import enum
+import math
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs import (
     NULL_INSTRUMENT,
@@ -9,6 +14,7 @@ from repro.obs import (
     NullRegistry,
     ObsError,
 )
+from repro.obs.metrics import ZERO_BUCKET
 
 
 def test_counter_starts_at_zero_and_accumulates():
@@ -94,6 +100,143 @@ def test_histogram_custom_base():
 def test_histogram_rejects_bad_base():
     with pytest.raises(ObsError):
         MetricsRegistry().histogram("x", base=1.0)
+
+
+def test_histogram_rejects_reregistration_with_another_base():
+    r = MetricsRegistry()
+    r.histogram("x", base=1.25)
+    with pytest.raises(ObsError, match="base"):
+        r.histogram("x", base=2.0)
+
+
+# -- bucketing contract: bucket i holds (base**(i-1), base**i] --------------
+
+BASES = st.sampled_from([1.25, 2.0, 10.0])
+
+
+def _power(base, exponent):
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _contract_bound(base, value):
+    """The bound the documented contract assigns ``value``, found by
+    walking exponents from a log estimate (independent of the table)."""
+    i = math.ceil(math.log(value, base))
+    while _power(base, i - 1) >= value:
+        i -= 1
+    while _power(base, i) < value:
+        i += 1
+    return _power(base, i)
+
+
+@given(BASES, st.integers(min_value=-300, max_value=300))
+def test_bucket_bound_exact_powers_and_their_neighbours(base, exponent):
+    h = MetricsRegistry().histogram("x", base=base)
+    bound = base ** exponent
+    assert h.bucket_bound(bound) == bound
+    assert h.bucket_bound(math.nextafter(bound, math.inf)) == base ** (exponent + 1)
+    below = math.nextafter(bound, 0.0)
+    assert h.bucket_bound(below) == bound
+    assert _contract_bound(base, below) == bound
+
+
+@given(BASES, st.floats(min_value=5e-324, max_value=sys.float_info.max))
+def test_bucket_bound_matches_contract_for_positive_values(base, value):
+    h = MetricsRegistry().histogram("x", base=base)
+    assert h.bucket_bound(value) == _contract_bound(base, value)
+
+
+@given(BASES, st.floats(max_value=0.0, allow_nan=False))
+def test_bucket_bound_puts_zero_and_negatives_in_zero_bucket(base, value):
+    assert MetricsRegistry().histogram("x", base=base).bucket_bound(value) == ZERO_BUCKET
+
+
+@pytest.mark.parametrize("base", [1.25, 2.0, 10.0])
+def test_bucket_bound_beyond_the_finite_powers(base):
+    h = MetricsRegistry().histogram("x", base=base)
+    top = max(_power(base, e) for e in range(5000) if _power(base, e) < math.inf)
+    assert h.bucket_bound(top) == top
+    assert h.bucket_bound(math.nextafter(top, math.inf)) == math.inf
+    assert h.bucket_bound(sys.float_info.max) == _contract_bound(base, sys.float_info.max)
+    assert h.bucket_bound(math.inf) == math.inf
+    tiny = 5e-324  # smallest subnormal: the first bound at or above it
+    assert h.bucket_bound(tiny) == _contract_bound(base, tiny)
+    with pytest.raises(ObsError, match="NaN"):
+        h.bucket_bound(math.nan)
+
+
+def test_restore_state_keeps_bound_instruments_live():
+    reg = MetricsRegistry()
+    c = reg.counter("x")
+    c.inc()
+    reg.restore_state(reg.snapshot_state())
+    c.inc()
+    assert reg.counter("x").value == 2
+
+
+def test_restore_state_drops_series_absent_from_the_checkpoint():
+    reg = MetricsRegistry()
+    reg.counter("kept").inc()
+    state = reg.snapshot_state()
+    reg.gauge("extra").set(3)
+    reg.restore_state(state)
+    assert [m.name for m in reg.metrics()] == ["kept"]
+
+
+def test_family_binds_each_series_once_per_registry():
+    reg = MetricsRegistry()
+    lookups = []
+    counter = reg.counter
+
+    def counting_counter(name, labels=None, help=""):
+        lookups.append(labels)
+        return counter(name, labels, help)
+
+    reg.counter = counting_counter
+    first = reg.family("counter", "ops_total", ("machine", "op"))
+    second = reg.family("counter", "ops_total", ("machine", "op"))
+    assert first is second  # shared by every component that declares it
+    assert list(reg.metrics()) == []  # nothing exported before an update
+    for _ in range(3):
+        first["m0", "get"].inc()
+    second["m0", "put"].inc()
+    assert lookups == [{"machine": "m0", "op": "get"}, {"machine": "m0", "op": "put"}]
+    assert reg.counter("ops_total", {"op": "get", "machine": "m0"}).value == 3
+    with pytest.raises(ObsError, match="labels"):
+        first["m0"]
+    with pytest.raises(ObsError, match="declared"):
+        reg.family("gauge", "ops_total", ("machine", "op"))
+
+
+def test_family_labels_enum_members_by_name():
+    class Vc(enum.IntEnum):
+        REQ = 0
+
+    reg = MetricsRegistry()
+    reg.family("counter", "msgs_total", ("vc",))[Vc.REQ].inc()
+    assert [m.labels for m in reg.metrics()] == [{"vc": "REQ"}]
+
+
+def test_family_rebinds_to_restored_series():
+    reg = MetricsRegistry()
+    family = reg.family("counter", "x", ("k",))
+    family["a"].inc()
+    state = reg.snapshot_state()
+    family["b"].inc()  # absent from the checkpoint: leaves the table
+    reg.restore_state(state)
+    family["a"].inc()
+    family["b"].inc()
+    assert reg.counter("x", {"k": "a"}).value == 2
+    assert reg.counter("x", {"k": "b"}).value == 1
+
+
+def test_null_registry_family_hands_out_the_null_instrument():
+    family = NULL_REGISTRY.family("counter", "x", ("k",))
+    assert family["v"] is NULL_INSTRUMENT
+    assert NULL_REGISTRY.family("histogram", "y")[()] is NULL_INSTRUMENT
 
 
 def test_clock_stamps_events():

@@ -22,6 +22,9 @@ from repro.snap import (
     restore_rack,
 )
 from repro.snap.protocol import restore, tagged
+from repro.traffic.classes import Request, RequestClass
+from repro.traffic.config import GatewayConfig
+from repro.traffic.gateway import Gateway
 
 pytestmark = pytest.mark.snap
 
@@ -104,6 +107,40 @@ def test_checkpoint_after_failover_restores_dead_board_dead():
     soak_r.run(2)
     soak_straight.run(2)
     assert snapshot_jsonl(restored.obs) == snapshot_jsonl(rack.obs)
+
+
+def _serve(rack, client, n=24):
+    """Drive ``n`` gets and puts through a fresh gateway to completion."""
+    gateway = Gateway(rack.kernel, GatewayConfig(), [client], obs=rack.obs)
+    rack.kernel.spawn(gateway.worker(0))
+    classes = [
+        RequestClass(kind=kind, weight=1.0, slo_ns=1e6, service_ns=0.0, cacheable=False)
+        for kind in ("kvs_put", "kvs_get")
+    ]
+    for i in range(n):
+        request = Request(classes[i % 2], b"gw%03d" % (i // 2), b"v", "steady", 0.0)
+        rack.kernel.call_at(rack.kernel.now + 500.0 * i, lambda _, r=request: gateway.submit(r))
+    rack.kernel.run()
+    assert gateway.stats["completed"] == n
+
+
+def test_traffic_after_restore_updates_the_restored_export():
+    # Components bind instruments when they are built (the rack's live
+    # gauge, each board's health gauge, the gateway's and clients'
+    # series), so the registry restore must keep those objects exported:
+    # a kill and gateway traffic after the restore land in the snapshot.
+    rack_a, clients_a, soak_a = _build()
+    soak_a.run(2)
+    assert rack_a.kill("enzian1")
+    _serve(rack_a, clients_a[0])
+    straight = snapshot_jsonl(rack_a.obs)
+
+    rack_b, clients_b, soak_b = _build()
+    soak_b.run(2)
+    rack_c, clients_c = restore_rack(checkpoint_rack(rack_b, clients=clients_b))
+    assert rack_c.kill("enzian1")
+    _serve(rack_c, clients_c[0])
+    assert snapshot_jsonl(rack_c.obs) == straight
 
 
 def test_checkpoint_refuses_non_quiescent_kernel():
