@@ -142,11 +142,23 @@ class HashTableStore:
 
         The control-plane full-table walk: re-replication and rejoin
         handoff iterate a shard's contents without knowing its keys.
+        One strided copy of every slot's state byte is taken when the
+        walk starts; only the slots full at that moment are decoded.
+
+        Mutating the store mid-scan: a slot is decoded when the walk
+        reaches it, so an overwritten value is yielded as it is then,
+        and a key deleted (or a store cleared or restored) before its
+        slot is reached is skipped -- a tombstone is never yielded.
+        Keys put into slots that were not full when the walk started
+        are not yielded.
         """
-        for index in range(self.n_slots):
+        find = self.arena[0::SLOT_BYTES].find
+        index = find(_FULL)
+        while index >= 0:
             state, key, value = self._slot(index)
             if state == _FULL:
                 yield key, value
+            index = find(_FULL, index + 1)
 
     def clear(self) -> None:
         """Wipe the arena (a rejoining board comes back empty)."""

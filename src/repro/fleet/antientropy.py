@@ -17,7 +17,11 @@ Design points:
   healthy replicas would still differ on a whole-store hash.  Each
   pair ``(a, b)`` builds its trees over exactly the keys whose current
   placement includes *both* machines, so in-sync pairs compare equal
-  at the root and cost one hash comparison per pass.
+  at the root and cost one hash comparison per pass.  The trees are
+  still per pair, but they are filtered from one view per machine per
+  pass (:func:`machine_view`: one store scan, each key placed once);
+  a repair drops its target's view, so later pairs in the same pass
+  see the repaired store exactly as a fresh scan would.
 * **Epoch-fenced.**  A pass never runs across an active partition
   (syncing through a split would launder stale minority state), and it
   skips servers whose quorum epoch lags the ring's -- the pass sees
@@ -54,6 +58,8 @@ from .placement import key_hash
 __all__ = [
     "AntiEntropyScheduler",
     "MerkleTree",
+    "copy_newer",
+    "machine_view",
     "replica_divergence",
 ]
 
@@ -141,28 +147,37 @@ class MerkleTree:
         return sorted(divergent), comparisons
 
 
-def _shared_entries(rack, name: str, partner: str) -> Dict[bytes, Entry]:
-    """One machine's view of the key range it shares with ``partner``:
-    every key (live or tombstoned) whose current placement includes
-    both machines."""
+def machine_view(rack, name: str) -> list:
+    """One machine's store, read in one scan and placed on the current
+    ring: a ``(key, value, entry, placement)`` row per live key in slot
+    order, then a tombstone row (value None) per versioned key the
+    store no longer holds."""
     machine = rack.machines[name]
-    ring = rack.ring
-    server = machine.server
-    out: Dict[bytes, Entry] = {}
-    for key, value in machine.store.scan():
-        key = bytes(key)
-        place = ring.place(key)
-        if name in place and partner in place:
-            version = server.versions.get(key, NO_VERSION)
-            out[key] = (version, zlib.crc32(value), False)
-    for key, version in server.versions.items():
-        key = bytes(key)
-        if key in out or machine.store.get(key) is not None:
-            continue  # live keys were covered by the scan above
-        place = ring.place(key)
-        if name in place and partner in place:
-            out[key] = (tuple(version), 0, True)
-    return out
+    place = rack.ring.place
+    versions = machine.server.versions
+    rows = [
+        (key, value, (versions.get(key, NO_VERSION), zlib.crc32(value), False), place(key))
+        for key, value in machine.store.scan()
+    ]
+    live = {row[0] for row in rows}
+    rows.extend(
+        (key, None, (version, 0, True), place(key))
+        for key, version in versions.items()
+        if key not in live
+    )
+    return rows
+
+
+def copy_newer(machine, key: bytes, value: bytes, version, tombstone: bool = False) -> bool:
+    """Land one copy on ``machine`` iff it wins: a versioned copy must
+    be strictly newer (:meth:`~repro.fleet.kvs.KvsShardServer.apply_hint`);
+    a version-less one only fills a missing key, never overwrites."""
+    if version > NO_VERSION:
+        return machine.server.apply_hint(key, value, version, tombstone)
+    if machine.store.get(key) is not None:
+        return False
+    machine.store.put(key, value)
+    return True
 
 
 class AntiEntropyScheduler:
@@ -270,16 +285,17 @@ class AntiEntropyScheduler:
             if name in rack.machines and rack.machines[name].alive
         )
         epoch = rack.ring_epoch
+        views: Dict[str, list] = {}  # this pass's machine views
         repaired = 0
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                repaired += self._sync_pair(a, b, epoch)
+                repaired += self._sync_pair(a, b, epoch, views)
         self.stats["repairs_applied"] += repaired
         if repaired:
             self._repairs[()].inc(repaired)
         return repaired
 
-    def _sync_pair(self, a: str, b: str, epoch: int) -> int:
+    def _sync_pair(self, a: str, b: str, epoch: int, views: Dict[str, list]) -> int:
         rack = self.rack
         ma, mb = rack.machines[a], rack.machines[b]
         if ma.server.epoch != epoch or mb.server.epoch != epoch:
@@ -288,8 +304,13 @@ class AntiEntropyScheduler:
             self.stats["skipped_stale_epoch"] += 1
             self._skipped["stale_epoch"].inc()
             return 0
-        entries_a = _shared_entries(rack, a, b)
-        entries_b = _shared_entries(rack, b, a)
+        for name in (a, b):
+            if name not in views:
+                views[name] = machine_view(rack, name)
+        entries_a, entries_b = (
+            {key: entry for key, _, entry, place in views[name] if a in place and b in place}
+            for name in (a, b)
+        )
         depth = self.config.depth
         tree_a = MerkleTree(depth, entries_a)
         tree_b = MerkleTree(depth, entries_b)
@@ -311,33 +332,28 @@ class AntiEntropyScheduler:
                 va = ea[0] if ea is not None else NO_VERSION
                 vb = eb[0] if eb is not None else NO_VERSION
                 if va > vb:
-                    repaired += self._repair(ma, mb, key, ea)
+                    repaired += self._repair(ma, mb, key, ea, views)
                 elif vb > va:
-                    repaired += self._repair(mb, ma, key, eb)
+                    repaired += self._repair(mb, ma, key, eb, views)
                 else:
                     # Same version, different content: only the
                     # version-less discipline can get here, and it has
                     # no ground truth -- fill in missing copies, never
                     # overwrite (exactly re_replicate's rule).
                     if ea is not None and eb is None:
-                        repaired += self._repair(ma, mb, key, ea)
+                        repaired += self._repair(ma, mb, key, ea, views)
                     elif eb is not None and ea is None:
-                        repaired += self._repair(mb, ma, key, eb)
+                        repaired += self._repair(mb, ma, key, eb, views)
         return repaired
 
-    def _repair(self, source, target, key: bytes, entry: Entry) -> int:
+    def _repair(self, source, target, key: bytes, entry: Entry, views) -> int:
         version, _digest, tombstone = entry
         value = b"" if tombstone else source.store.get(key)
         if value is None:
             return 0  # raced with nothing in a deterministic sim; defensive
-        if version > NO_VERSION:
-            applied = target.server.apply_hint(key, value, version, tombstone)
-        elif target.store.get(key) is None:
-            target.store.put(key, value)
-            applied = True
-        else:
-            applied = False
+        applied = copy_newer(target, key, value, version, tombstone)
         if applied:
+            views.pop(target.name, None)
             self._repaired_keys[target.name].inc()
         return 1 if applied else 0
 
@@ -379,42 +395,23 @@ def replica_divergence(rack) -> int:
     from it.  Zero means every current placement target serves the
     winning version -- what a full anti-entropy pass guarantees.
     """
-    live = {
-        name
-        for name in rack.live_machines()
+    # Per live ring member: key -> (version, value), None if tombstoned.
+    held = {
+        name: {key: (entry[0], value) for key, value, entry, _ in machine_view(rack, name)}
+        for name in sorted(rack.live_machines())
         if name in rack.ring.machines
     }
-    best: Dict[bytes, Tuple[Tuple[int, int], Optional[bytes]]] = {}
-    for name in sorted(live):
-        machine = rack.machines[name]
-        for key, value in machine.store.scan():
-            key = bytes(key)
-            version = machine.server.versions.get(key, NO_VERSION)
-            cur = best.get(key)
-            if cur is None or version > cur[0]:
-                best[key] = (version, value)
-        for key, version in machine.server.versions.items():
-            key = bytes(key)
-            if machine.store.get(key) is not None:
-                continue
-            version = tuple(version)
-            cur = best.get(key)
-            if cur is None or version > cur[0]:
-                best[key] = (version, None)  # tombstone
+    best = {}  # key -> the first newest (version, value) in name order
+    for copies in held.values():
+        for key, copy in copies.items():
+            if key not in best or copy[0] > best[key][0]:
+                best[key] = copy
     divergent = 0
     for key, (version, value) in best.items():
         for target in rack.ring.place(key):
-            if target not in live:
-                continue
-            machine = rack.machines[target]
-            held = machine.store.get(key)
-            if version > NO_VERSION:
-                in_sync = (
-                    machine.server.versions.get(key, NO_VERSION) == version
-                    and held == value
+            if target in held:
+                have_version, have_value = held[target].get(key, (NO_VERSION, None))
+                divergent += have_value != value or (
+                    version > NO_VERSION and have_version != version
                 )
-            else:
-                in_sync = held == value
-            if not in_sync:
-                divergent += 1
     return divergent

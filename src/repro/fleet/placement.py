@@ -70,24 +70,30 @@ class HashRing:
         )
         self._hashes = [p for p, _ in points]
         self._owners = [m for _, m in points]
+        self._placed: dict[bytes, Tuple[str, ...]] = {}
 
     # -- placement -----------------------------------------------------------
 
     def place(self, key: bytes) -> Tuple[str, ...]:
         """Primary + replicas: the first ``replication_factor`` distinct
         machines clockwise from the key's hash (fewer if the ring has
-        shrunk below the replication factor)."""
-        want = min(self.replication_factor, len(self.machines))
-        start = bisect.bisect_left(self._hashes, key_hash(key))
-        chosen: list[str] = []
-        n = len(self._owners)
-        for i in range(n):
-            owner = self._owners[(start + i) % n]
-            if owner not in chosen:
-                chosen.append(owner)
-                if len(chosen) == want:
-                    break
-        return tuple(chosen)
+        shrunk below the replication factor).  Memoised per key: a ring
+        never changes; membership changes build a new one."""
+        key = bytes(key)
+        placed = self._placed.get(key)
+        if placed is None:
+            want = min(self.replication_factor, len(self.machines))
+            start = bisect.bisect_left(self._hashes, key_hash(key))
+            chosen: list[str] = []
+            n = len(self._owners)
+            for i in range(n):
+                owner = self._owners[(start + i) % n]
+                if owner not in chosen:
+                    chosen.append(owner)
+                    if len(chosen) == want:
+                        break
+            placed = self._placed[key] = tuple(chosen)
+        return placed
 
     def primary(self, key: bytes) -> str:
         return self.place(key)[0]

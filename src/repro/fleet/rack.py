@@ -50,9 +50,10 @@ from ..net.ethernet import EthernetLink
 from ..net.switch import Switch, star_topology
 from ..obs import NULL_REGISTRY
 from ..sim import Kernel
+from .antientropy import copy_newer, machine_view
 from .config import FleetConfig
 from .errors import FleetError
-from .kvs import NO_VERSION, FleetKvsClient, KvsShardServer
+from .kvs import FleetKvsClient, KvsShardServer
 from .placement import HashRing
 
 
@@ -385,19 +386,11 @@ class Rack:
         live = {name for name in self.live_machines() if name in self.ring.machines}
         copied = 0
         for name in sorted(live):
-            source = self.machines[name]
-            for key, value in source.store.scan():
-                version = source.server.versions.get(bytes(key), NO_VERSION)
-                for target in self.ring.place(key):
-                    if target == name or target not in live:
-                        continue
-                    machine = self.machines[target]
-                    if version > NO_VERSION:
-                        if machine.server.apply_hint(key, value, version, False):
-                            copied += 1
-                    elif machine.store.get(key) is None:
-                        machine.store.put(key, value)
-                        copied += 1
+            # Viewed when reached, so it sees earlier sources' copies.
+            for key, value, (version, _, tombstone), place in machine_view(self, name):
+                for target in place:
+                    if not tombstone and target != name and target in live:
+                        copied += copy_newer(self.machines[target], key, value, version)
         if copied:
             self._rereplicated[()].inc(copied)
         return copied

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.kvs import (
+    _FULL,
     HashTableStore,
     KvError,
     KvsPerformanceParams,
@@ -110,6 +111,105 @@ def test_matches_dict_reference(ops):
             assert store.delete(key) == (reference.pop(key, None) is not None)
     for key, value in reference.items():
         assert store.get(key) == value
+
+
+# -- scan ---------------------------------------------------------------------
+
+def _reference_scan(store):
+    """Every full slot's (key, value), in slot order."""
+    out = []
+    for index in range(store.n_slots):
+        state, key, value = store._slot(index)
+        if state == _FULL:
+            out.append((key, value))
+    return out
+
+
+def _wrapping_keys(store, count):
+    """Keys that all hash to the arena's last slot, so every one after
+    the first probes round to slot 0 and on."""
+    keys = []
+    i = 0
+    while len(keys) < count:
+        key = b"w%d" % i
+        if store._hash(key) == store.n_slots - 1:
+            keys.append(key)
+        i += 1
+    return keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["put", "put", "put", "delete", "delete", "clear", "snap", "restore"]),
+            st.integers(min_value=0, max_value=11),
+            st.binary(max_size=6),
+        ),
+        max_size=60,
+    )
+)
+def test_scan_matches_slot_order_walk(ops):
+    store = HashTableStore(n_slots=16)
+    keys = _wrapping_keys(store, 3) + [b"k%d" % i for i in range(9)]
+    reference = {}
+    saved = (store.snapshot_state(), {})
+    for op, which, value in ops:
+        key = keys[which]
+        if op == "put":
+            store.put(key, value)
+            reference[key] = value
+        elif op == "delete":
+            store.delete(key)
+            reference.pop(key, None)
+        elif op == "clear":
+            store.clear()
+            reference.clear()
+        elif op == "snap":
+            saved = (store.snapshot_state(), dict(reference))
+        else:
+            store.restore_state(saved[0])
+            reference = dict(saved[1])
+        scanned = list(store.scan())
+        assert scanned == _reference_scan(store)
+        assert dict(scanned) == reference
+        assert len(scanned) == store.items
+
+
+def test_scan_follows_probe_wraparound_in_slot_order():
+    store = HashTableStore(n_slots=16)
+    first, second, third = _wrapping_keys(store, 3)
+    for key in (first, second, third):
+        store.put(key, key.upper())
+    # first sits in the last slot; the others wrapped to slots 0 and 1.
+    assert list(store.scan()) == [
+        (second, second.upper()), (third, third.upper()), (first, first.upper())
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    keys=st.lists(st.binary(min_size=1, max_size=6), min_size=2, max_size=40, unique=True),
+    seen=st.integers(min_value=0, max_value=39),
+    doomed=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_scan_skips_keys_deleted_before_their_slot(keys, seen, doomed):
+    """Stop the walk after ``seen`` items, delete the ``doomed`` keys it
+    has not reached yet, then finish it."""
+    store = HashTableStore(n_slots=64)
+    for key in keys:
+        store.put(key, b"v" + key)
+    seen %= len(keys)
+    before = _reference_scan(store)
+    walk = store.scan()
+    got = [item for _, item in zip(range(seen), walk)]
+    visited = {key for key, _ in got}
+    gone = {key for key, doom in zip(keys, doomed) if doom} - visited
+    for key in gone:
+        store.delete(key)
+    got.extend(walk)
+    assert (b"", b"") not in got
+    assert got == [item for item in before if item[0] not in gone]
 
 
 def test_fpga_path_beats_cpu_path():

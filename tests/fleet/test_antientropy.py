@@ -7,7 +7,11 @@ apply-iff-newer, epoch-fenced, deterministic, and bit-identical when
 the section is disabled.
 """
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     AntiEntropyConfig,
@@ -269,3 +273,113 @@ def test_scheduler_snapshot_round_trip():
     restore(clone, state)
     assert clone.stats == scheduler.stats
     assert clone._until is None
+
+
+# -- one view per machine == a fresh scan per pair ---------------------------
+
+def _shared_entries(rack, name, partner):
+    """The per-pair walk the pass used before it kept one view per
+    machine: a full scan plus a ``store.get`` probe per versioned key,
+    re-placing every key on the ring, on every call."""
+    machine = rack.machines[name]
+    ring = rack.ring
+    server = machine.server
+    out = {}
+    for key, value in machine.store.scan():
+        key = bytes(key)
+        place = ring.place(key)
+        if name in place and partner in place:
+            version = server.versions.get(key, NO_VERSION)
+            out[key] = (version, zlib.crc32(value), False)
+    for key, version in server.versions.items():
+        key = bytes(key)
+        if key in out or machine.store.get(key) is not None:
+            continue
+        place = ring.place(key)
+        if name in place and partner in place:
+            out[key] = (tuple(version), 0, True)
+    return out
+
+
+class _PerPairFreshScan(AntiEntropyScheduler):
+    """The pass as it was before machine views: each pair re-walks both
+    stores with :func:`_shared_entries`, ignoring the pass's views."""
+
+    def _sync_pair(self, a, b, epoch, _views):
+        fresh = {
+            name: [
+                (key, None, entry, (a, b))
+                for key, entry in _shared_entries(self.rack, name, partner).items()
+            ]
+            for name, partner in ((a, b), (b, a))
+        }
+        return super()._sync_pair(a, b, epoch, fresh)
+
+
+#: What one machine holds for a key: nothing, a versioned copy, a
+#: tombstone, or a version-less (all-replica discipline) copy.
+_HOLDINGS = [
+    None,
+    ("live", (1, 1)), ("live", (1, 2)), ("live", (2, 1)),
+    ("tomb", (1, 2)), ("tomb", (2, 1)),
+    ("bare", b"x"), ("bare", b"y"),
+]
+
+
+def _plant(rack, key, holdings):
+    for name, held in zip(sorted(rack.machines), holdings):
+        if held is None:
+            continue
+        machine = rack.machines[name]
+        kind, what = held
+        if kind == "bare":
+            machine.store.put(key, b"bare-" + what)
+            continue
+        machine.server.versions[key] = what
+        if kind == "live":
+            machine.store.put(key, b"v%d.%d" % what)
+
+
+def _cascade(rack, key):
+    """The newest copy sits on the key's middle placement target; the
+    other two lack it.  Pair (first, middle) repairs the first target,
+    and pair (first, last) must then carry that repair to the last."""
+    first, middle, last = sorted(rack.ring.place(key))
+    newest = rack.machines[middle]
+    newest.server.versions[key] = (3, 1)
+    newest.store.put(key, b"v3.1")
+    rack.machines[last].server.versions[key] = (1, 1)
+    rack.machines[last].store.put(key, b"v1.1")
+
+
+def _planted_rack(plan):
+    rack = Rack(_fleet())
+    for i, holdings in enumerate(plan):
+        _plant(rack, b"k%02d" % i, holdings)
+    _cascade(rack, b"cascade")
+    return rack
+
+
+def _rack_state(rack):
+    return {
+        name: (bytes(m.store.arena), m.store.items, dict(m.server.versions))
+        for name, m in sorted(rack.machines.items())
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=st.lists(
+        st.lists(st.sampled_from(_HOLDINGS), min_size=6, max_size=6),
+        max_size=24,
+    )
+)
+def test_one_view_pass_matches_a_fresh_scan_per_pair(plan):
+    results = []
+    for kind in (_PerPairFreshScan, AntiEntropyScheduler):
+        rack = _planted_rack(plan)
+        scheduler = kind(rack, AntiEntropyConfig(enabled=True))
+        repaired = [scheduler.run_pass(), scheduler.run_pass()]
+        results.append((repaired, dict(scheduler.stats), _rack_state(rack)))
+    oracle, one_view = results
+    assert one_view == oracle

@@ -114,6 +114,43 @@ else:  # pragma: no cover - depends on environment
             _assert_minimal_movement(rng.randrange(3, 13), rng.randrange(1 << 31))
 
 
+# -- placement memo ----------------------------------------------------------
+
+def _assert_memo_matches_fresh(n_machines: int, seed: int) -> None:
+    keys = _keys(seed, count=200, size=1 + seed % 12)
+    ring = HashRing(_names(n_machines), vnodes=32, replication_factor=3)
+    warm = [ring.place(k) for k in keys]
+    for view in (bytes, bytearray, memoryview):
+        fresh = HashRing(_names(n_machines), vnodes=32, replication_factor=3)
+        for key, placed in zip(keys, warm):
+            assert fresh.place(view(key)) == placed
+            # Repeats, in any of the three key types, hit the memo.
+            assert ring.place(view(key)) is placed
+            assert fresh.place(key) is fresh.place(view(key))
+    for other in (ring.removed(ring.machines[0]), ring.extended("enzian-new")):
+        assert other._placed == {}
+        rebuilt = HashRing(other.machines, vnodes=32, replication_factor=3)
+        assert [other.place(k) for k in keys] == [rebuilt.place(k) for k in keys]
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_memoised_placement_matches_a_fresh_ring(n_machines, seed):
+        _assert_memo_matches_fresh(n_machines, seed)
+
+else:  # pragma: no cover - depends on environment
+
+    def test_memoised_placement_matches_a_fresh_ring():
+        rng = random.Random(0x3E30)
+        for _ in range(15):
+            _assert_memo_matches_fresh(rng.randrange(2, 9), rng.randrange(1 << 31))
+
+
 # -- replica sets ------------------------------------------------------------
 
 def test_place_returns_distinct_machines():
