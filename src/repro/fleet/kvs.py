@@ -87,9 +87,14 @@ class KvsRequestAborted(FleetKvsError):
         self.reply_to = reply_to
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KvsRequest:
     """One operation in flight from the client to a shard server.
+
+    Immutable by convention (not ``frozen=True``, whose per-field
+    ``object.__setattr__`` would be paid on every message): the one
+    request object rides its frame from hop to hop and sits in the
+    server's in-service map, so nothing may mutate it once sent.
 
     ``epoch`` is the sender's quorum epoch (0 until it learns one);
     ``version``/``replicas``/``hint_for``/``tombstone`` ride only on
@@ -114,9 +119,11 @@ class KvsRequest:
         return REQUEST_HEADER_BYTES + len(self.key) + len(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KvsResponse:
     """A shard server's answer, carrying the serving machine's name.
+
+    Immutable by convention, like :class:`KvsRequest`.
 
     ``epoch`` is the server's quorum epoch (clients adopt the max they
     see); ``version`` is the per-key ``(epoch, seq)`` stamp of the

@@ -190,6 +190,9 @@ class Rack:
             machine = self.machines.get(name)
             if machine is not None and machine.alive:
                 machine.server.set_epoch(self.ring_epoch)
+                tap = self.taps.get(name)
+                if tap is not None:
+                    tap.control("epoch", epoch=self.ring_epoch)
 
     def _controller_side(self) -> Tuple[str, ...]:
         """The machines the controller can reach: everyone, or -- during

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..sim import Kernel
@@ -26,23 +26,30 @@ class LinkAttachError(ValueError):
     callers that caught the untyped duplicate-address error."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
-    """One Ethernet frame carrying an opaque payload."""
+    """One Ethernet frame carrying an opaque payload.
+
+    Immutable by convention, not by ``frozen=True``: one frame object is
+    handed from hop to hop (sender's link, switch, egress link,
+    endpoint), so nothing may mutate it after construction.  A frozen
+    dataclass pays an ``object.__setattr__`` per field on every build,
+    and the serving path builds one frame per message.  ``wire_bytes``
+    (payload plus Ethernet overhead) is computed once here, because
+    every hop reads it.
+    """
 
     src: str
     dst: str
     payload: Any
     size_bytes: int
     seq: int = 0
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size_bytes < 1:
             raise ValueError("frame must have positive size")
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.size_bytes + ETH_OVERHEAD_BYTES
+        self.wire_bytes = self.size_bytes + ETH_OVERHEAD_BYTES
 
 
 class EthernetLink:
@@ -121,7 +128,8 @@ class EthernetLink:
 
     def send(self, frame: Frame) -> None:
         """Transmit; the frame arrives at ``frame.dst`` (or the uplink)."""
-        if frame.dst not in self._endpoints and self._uplink is None:
+        handler = self._endpoints.get(frame.dst, self._uplink)
+        if handler is None:
             raise ValueError(f"no endpoint {frame.dst!r} on {self.name}")
         self.stats["frames"] += 1
         self.stats["bytes"] += frame.wire_bytes
@@ -132,7 +140,6 @@ class EthernetLink:
             self.stats["dropped"] += 1
             return
         arrival = start + ser + self.propagation_ns
-        handler = self._endpoints.get(frame.dst, self._uplink)
         if self.fault_hook is not None:
             action = self.fault_hook(frame)
             if action is not None:
@@ -155,10 +162,8 @@ class EthernetLink:
         pending = self._pending.get(frame.src)
         if pending is None:
             pending = self._pending[frame.src] = deque()
-        if pending:
-            pending.append((arrival, handler, frame))
-        else:
-            pending.append((arrival, handler, frame))
+        pending.append((arrival, handler, frame))
+        if len(pending) == 1:
             self.kernel.call_at(arrival, self._pump, frame.src)
 
     def _pump(self, src: str) -> None:

@@ -193,7 +193,9 @@ class Switch:
             # time at the port's line rate, whatever their ingress.
             departure = max(departure, self._egress_busy.get(host, 0.0))
             self._egress_busy[host] = departure + frame.wire_bytes / link.rate
-        self.kernel.call_at(departure, lambda _: link.send(frame))
+        # The link's ``send`` (or a tap's instance-level wrapper of it)
+        # is scheduled directly: no closure per frame.
+        self.kernel.call_at(departure, link.send, frame)
 
     # -- checkpoint/restore (repro.snap) ---------------------------------
 

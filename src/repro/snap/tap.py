@@ -3,7 +3,8 @@
 A :class:`MessageTap` sits on one board's switch boundary and records
 everything that crosses it: inbound frame deliveries (with their exact
 delivery times), outbound frame sends, and out-of-band control events
-(the supervisor black-holing the board's NIC).  Because a board's
+(the supervisor black-holing the board's NIC, the rack fencing its
+server to a new quorum epoch).  Because a board's
 behaviour is a pure function of its inbound messages and their times --
 boards make no RNG draws on the serving path -- the trace is sufficient
 to re-execute that one board *in isolation*, bit-identically, with
@@ -26,14 +27,16 @@ import json
 from typing import Any, Callable, Dict, List, Optional
 
 from ..apps.kvs import HashTableStore
-from ..fleet.kvs import KvsRequest, KvsResponse, KvsShardServer
+from ..fleet.kvs import NO_VERSION, KvsRequest, KvsResponse, KvsShardServer
 from ..net.ethernet import EthernetLink, Frame
 from ..net.reliable import Segment
 from ..sim import Kernel
 from .protocol import SnapshotError, from_jsonable, to_jsonable
 
-#: Trace document version (bump when the record shape changes).
-TRACE_VERSION = 1
+#: Trace document version (bump when the record shape changes).  v2
+#: made the KVS codec lossless (quorum fields) and added ``epoch``
+#: control records; v1 traces still load, with those fields defaulted.
+TRACE_VERSION = 2
 
 
 # -- payload codecs ---------------------------------------------------------
@@ -47,6 +50,11 @@ def encode_payload(payload: Any) -> Dict[str, Any]:
             "value": payload.value,
             "txid": payload.txid,
             "reply_to": payload.reply_to,
+            "epoch": payload.epoch,
+            "version": list(payload.version),
+            "replicas": list(payload.replicas),
+            "hint_for": payload.hint_for,
+            "tombstone": payload.tombstone,
         }
     if isinstance(payload, KvsResponse):
         return {
@@ -55,6 +63,9 @@ def encode_payload(payload: Any) -> Dict[str, Any]:
             "ok": payload.ok,
             "value": payload.value,
             "machine": payload.machine,
+            "epoch": payload.epoch,
+            "version": list(payload.version),
+            "error": payload.error,
         }
     if isinstance(payload, Segment):
         return {
@@ -73,12 +84,24 @@ def encode_payload(payload: Any) -> Dict[str, Any]:
 
 def decode_payload(doc: Dict[str, Any]) -> Any:
     kind = doc.get("kind")
+    # Version-1 traces carry only the classic fields; the quorum fields
+    # then decode to their defaults.
     if kind == "kvs_request":
         return KvsRequest(
-            doc["op"], doc["key"], doc["value"], doc["txid"], doc["reply_to"]
+            doc["op"], doc["key"], doc["value"], doc["txid"], doc["reply_to"],
+            epoch=doc.get("epoch", 0),
+            version=tuple(doc.get("version", NO_VERSION)),
+            replicas=tuple(doc.get("replicas", ())),
+            hint_for=doc.get("hint_for", ""),
+            tombstone=doc.get("tombstone", False),
         )
     if kind == "kvs_response":
-        return KvsResponse(doc["txid"], doc["ok"], doc["value"], doc["machine"])
+        return KvsResponse(
+            doc["txid"], doc["ok"], doc["value"], doc["machine"],
+            epoch=doc.get("epoch", 0),
+            version=tuple(doc.get("version", NO_VERSION)),
+            error=doc.get("error", ""),
+        )
     if kind == "segment":
         return Segment(doc["seg_kind"], doc["seq"], doc["data"])
     if kind == "bytes":
@@ -160,9 +183,13 @@ class MessageTap:
             )
         self.records.append(record)
 
-    def control(self, kind: str) -> None:
-        """Record an out-of-band liveness event ('down' / 'up')."""
-        self._record({"t": self.kernel.now, "dir": "ctl", "kind": kind})
+    def control(self, kind: str, epoch: Optional[int] = None) -> None:
+        """Record an out-of-band event: liveness ('down' / 'up') or the
+        rack fencing the server to a quorum epoch ('epoch')."""
+        record: Dict[str, Any] = {"t": self.kernel.now, "dir": "ctl", "kind": kind}
+        if epoch is not None:
+            record["epoch"] = epoch
+        self._record(record)
 
     # -- trace (de)serialization ------------------------------------------
 
@@ -184,9 +211,9 @@ def trace_from_jsonl(text: str):
     if not lines:
         raise SnapshotError("empty trace document")
     header = json.loads(lines[0])
-    if header.get("version") != TRACE_VERSION:
+    if header.get("version") not in range(1, TRACE_VERSION + 1):
         raise SnapshotError(
-            f"trace version {header.get('version')!r} != {TRACE_VERSION}"
+            f"trace version {header.get('version')!r} is not in 1..{TRACE_VERSION}"
         )
     records = [from_jsonable(json.loads(line)) for line in lines[1:]]
     return header.get("trace", ""), records
@@ -226,6 +253,15 @@ def replay_board(
     so its outbound frames, store contents, and metrics reproduce the
     rack run bit-for-bit.
 
+    What the trace captures: every frame the board receives or sends,
+    kill/rejoin liveness changes, and every quorum epoch the rack fences
+    the server to (``Rack._fence``).  What it does not capture are the
+    control plane's direct writes into the board's store and quorum
+    state, which bypass the network: anti-entropy repairs,
+    :meth:`Rack.re_replicate` copies, hinted-handoff drains, and the
+    store wipe at :meth:`Rack.rejoin`.  A board that took any of those
+    replays faithfully only up to the first one.
+
     Returns ``(board, outbound)`` where ``board`` is a dict of the
     rebuilt parts and ``outbound`` the replayed outbound records (same
     shape as the trace's ``dir == "out"`` records, for comparison).
@@ -239,7 +275,10 @@ def replay_board(
     )
     link.set_uplink(lambda frame: None)  # black hole: no switch, no peers
     store = HashTableStore(n_slots=fleet.kvs_slots)
-    server = KvsShardServer(kernel, name, link, store, fleet.service_ns, obs=obs)
+    server = KvsShardServer(
+        kernel, name, link, store, fleet.service_ns,
+        obs=obs, strict_epoch=fleet.write_quorum > 0,
+    )
 
     outbound: List[Dict[str, Any]] = []
     original_send = link.send
@@ -263,6 +302,8 @@ def replay_board(
             server.down()
         elif record["kind"] == "up":
             server.up()
+        elif record["kind"] == "epoch":
+            server.set_epoch(record["epoch"])
 
     # Schedule the whole trace up front, in record order: records were
     # appended in execution order, so equal-time ties replay in their

@@ -7,10 +7,39 @@ from repro.sim import Kernel
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
-        Frame("a", "b", None, size_bytes=0)
+    for size in (0, -1):
+        with pytest.raises(ValueError):
+            Frame("a", "b", None, size_bytes=size)
     frame = Frame("a", "b", None, size_bytes=100)
     assert frame.wire_bytes == 138
+
+
+def test_frame_wire_bytes_is_derived_not_compared():
+    frame = Frame("a", "b", b"x", size_bytes=64, seq=3)
+    assert frame == Frame("a", "b", b"x", size_bytes=64, seq=3)
+    assert "wire_bytes" not in repr(frame)
+
+
+def test_switch_hop_runs_an_instance_level_send_wrapper():
+    """A wrapper installed on the egress link's instance (how a message
+    tap records a board's traffic) is what the switch hop calls."""
+    kernel = Kernel()
+    switch, link_a, link_b = two_hosts_via_switch(kernel)
+    wrapped = []
+    original_send = link_b.send
+
+    def send(frame):
+        wrapped.append((kernel.now, frame.payload))
+        original_send(frame)
+
+    link_b.send = send
+    received = []
+    link_b.attach("enzianB", lambda f: received.append(kernel.now))
+    link_a.send(Frame("enzianA", "enzianB", "ping", size_bytes=64))
+    kernel.run()
+    one_link = (64 + 38) / 12.5 + 500.0
+    assert wrapped == [(pytest.approx(one_link + 300.0), "ping")]
+    assert received == [pytest.approx(2 * one_link + 300.0)]
 
 
 def test_link_delivers_with_latency():

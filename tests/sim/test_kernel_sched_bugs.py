@@ -16,6 +16,8 @@ pre-optimization kernel:
    ``max_events + 1`` callbacks).
 """
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -208,6 +210,49 @@ def test_anyof_event_winner_still_delivers():
     k.spawn(firer())
     k.run()
     assert proc.result == (0, "won", 3.0)
+
+
+def test_anyof_waits_leave_no_reference_cycle():
+    """A finished AnyOf wait is freed by reference counting alone: with
+    the cyclic collector off, 1,000 event-won and 1,000 timeout-won
+    waits leave nothing for ``gc.collect()`` to find."""
+    k = Kernel()
+    results = []
+
+    def waits():
+        for i in range(1000):
+            evt = k.event()
+            k.call_after(1.0, lambda _, e=evt, v=i: e.succeed(k, v))
+            results.append((yield AnyOf([evt, Timeout(10.0)])))
+        never = k.event()
+        for _ in range(1000):
+            results.append((yield AnyOf([never, Timeout(1.0, "t")])))
+        return len(never._callbacks)
+
+    proc = k.spawn(waits())
+    gc.collect()
+    gc.disable()
+    try:
+        k.run()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    assert results == [(0, i) for i in range(1000)] + [(1, "t")] * 1000
+    assert proc.result == 0
+
+
+def test_anyof_loser_timeout_after_the_win_calls_nothing():
+    k = Kernel()
+    evt = Event("gate")
+    calls = []
+    AnyOf([evt, Timeout(5.0, "late")])._subscribe(k, calls.append)
+    k.call_after(1.0, lambda _: evt.succeed(k, "won"))
+    k.run()
+    # The loser's timeout still dispatched at t=5 (the schedule is
+    # unchanged), but the callback ran once, for the winner.
+    assert k.now == 5.0
+    assert calls == [(0, "won")]
 
 
 # -- bug 3b: max_events is an exact budget --------------------------------

@@ -7,13 +7,17 @@ board to be bit-identical to its in-rack execution -- outbound frames,
 store arena, server stats, and the board's observability series.
 """
 
+import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import pytest
 
-from repro.config import FleetConfig
+from repro.config import FleetConfig, preset
 from repro.fleet import Rack
+from repro.fleet.kvs import REQUEST_HEADER_BYTES, KvsRequest, KvsResponse
+from repro.net import Frame
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 from repro.snap import (
@@ -23,6 +27,8 @@ from repro.snap import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from repro.snap.protocol import to_jsonable
+from repro.snap.tap import _frame_of, _frame_record, decode_payload
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "examples"))
 
@@ -110,3 +116,100 @@ def test_recording_does_not_perturb_the_run():
         return snapshot_jsonl(obs)
 
     assert run(record=False) == run(record=True)
+
+
+def test_quorum_rack_boards_replay_bit_identically():
+    """Quorum racks put epochs, versions and replica lists on the wire
+    and run strict-epoch servers: the trace must carry all of it."""
+    fleet = preset("rack_quorum").fleet
+    rack = Rack(fleet, obs=MetricsRegistry())
+    taps = attach_taps(rack)
+    client = rack.client("client0")
+    keys = [f"q:{i:03d}".encode() for i in range(40)]
+
+    def workload():
+        for i, key in enumerate(keys):
+            yield from client.put(key, bytes([i]) * 16)
+        for key in keys:
+            value = yield from client.get(key)
+            assert value == bytes([keys.index(key)]) * 16
+
+    rack.kernel.spawn(workload())
+    rack.kernel.run()
+
+    assert len(taps) == fleet.machines == 6
+    for name, tap in taps.items():
+        _, records = trace_from_jsonl(tap.to_jsonl())
+        board, outbound = replay_board(records, fleet, name)
+        original = [r for r in tap.records if r["dir"] == "out"]
+        assert original, f"{name}: served no traffic"
+        assert outbound == original, f"{name}: outbound frames diverged"
+        machine = rack.machines[name]
+        assert bytes(board["store"].arena) == bytes(machine.store.arena)
+        assert board["server"].versions == machine.server.versions
+        assert board["server"].epoch == machine.server.epoch
+
+
+# -- the message contract ---------------------------------------------------
+
+_REQUEST = KvsRequest(
+    "replicate", b"k\x00ey", b"val\xff", 17, "client0#kvs",
+    epoch=3, version=(3, 9), replicas=("enzian1", "enzian2"),
+    hint_for="enzian4", tombstone=True,
+)
+_RESPONSE = KvsResponse(
+    17, False, b"v", "enzian1", epoch=4, version=(4, 2), error="stale_epoch"
+)
+
+
+@pytest.mark.parametrize("message", [_REQUEST, _RESPONSE])
+def test_every_kvs_message_field_survives_the_trace(message):
+    # Every field differs from its default, so a dropped field shows.
+    for f in fields(message):
+        if f.default is not MISSING:
+            assert getattr(message, f.name) != f.default, f.name
+    frame = Frame("a#kvs", "b#kvs", message, size_bytes=message.wire_bytes)
+    text = trace_to_jsonl("b", [_frame_record("in", 1.5, frame)])
+    _, records = trace_from_jsonl(text)
+    replayed = _frame_of(records[0])
+    assert replayed == frame
+    decoded = replayed.payload
+    assert type(decoded) is type(message)
+    for f in fields(message):
+        assert getattr(decoded, f.name) == getattr(message, f.name), f.name
+
+
+def test_version_1_trace_decodes_quorum_fields_to_defaults():
+    header = json.dumps({"trace": "enzian0", "version": 1}, sort_keys=True)
+    record = {
+        "t": 2.0, "dir": "in", "src": "client0#kvs", "dst": "enzian0#kvs",
+        "size": 28, "seq": 0,
+        "payload": {"kind": "kvs_request", "op": "get", "key": b"key",
+                    "value": b"", "txid": 5, "reply_to": "client0#kvs"},
+    }
+    text = header + "\n" + json.dumps(to_jsonable(record), sort_keys=True) + "\n"
+    _, records = trace_from_jsonl(text)
+    assert decode_payload(records[0]["payload"]) == KvsRequest(
+        "get", b"key", b"", 5, "client0#kvs"
+    )
+
+
+def test_kvs_message_wire_bytes_are_unchanged():
+    key, value = b"user:0042", b"x" * 100
+    base = REQUEST_HEADER_BYTES + len(key)
+    assert REQUEST_HEADER_BYTES == 24
+    assert KvsRequest("put", key, value, 1, "c#kvs").wire_bytes == base + 100
+    assert KvsRequest("get", key, b"", 2, "c#kvs").wire_bytes == base
+    replicate = KvsRequest(
+        "replicate", key, value, 3, "c#kvs",
+        epoch=2, version=(2, 7), tombstone=False,
+    )
+    assert replicate.wire_bytes == base + 100
+    hint = KvsRequest(
+        "hint", key, value, 0, "c#kvs",
+        epoch=2, version=(2, 7), hint_for="enzian3", tombstone=True,
+    )
+    assert hint.wire_bytes == base + 100
+    assert KvsResponse(1, True, value, "enzian0").wire_bytes == 24 + 100
+    assert KvsResponse(2, True, None, "enzian0", version=(1, 1)).wire_bytes == 24
+    assert KvsResponse(3, False, None, "e", error="stale_epoch").wire_bytes == 24
