@@ -5,13 +5,18 @@ Usage::
     python benchmarks/check_perf_regression.py [--baseline BENCH_perf.json]
                                                [--min-ratio 0.75] [--quick]
 
-Comparing absolute rates across machines is meaningless, so the gate
-normalizes by interpreter speed first: the committed baseline records a
-pure-Python calibration rate, and each committed bench rate is scaled by
-``fresh_calibration / committed_calibration`` before the comparison.
-A bench fails when::
+Comparing absolute rates across machines -- or across minutes on one
+shared host -- is meaningless, so the gate normalizes by interpreter
+speed first.  Every bench carries ``ref_rate``, its rate on a reference
+host, from the host speed sampled while that bench ran
+(``perfkit._best_rate``).  A bench fails when::
 
-    fresh_rate < min_ratio * committed_rate * (fresh_cal / committed_cal)
+    fresh_ref_rate < min_ratio * committed_ref_rate
+
+A baseline written before benches carried ``ref_rate`` is still read:
+its rates are scaled by the one run-wide spin-loop calibration, and a
+bench fails when
+``fresh_rate < min_ratio * committed_rate * (fresh_cal / committed_cal)``.
 
 ``--min-ratio`` defaults to 0.75 (the >25% regression threshold) and can
 be overridden via the ``BENCH_MIN_RATIO`` environment variable.
@@ -39,14 +44,19 @@ def check(baseline: dict, fresh_benches: dict, fresh_cal: float, min_ratio: floa
         if fresh is None:
             failures.append(f"{name}: missing from fresh run")
             continue
-        floor = min_ratio * committed["rate"] * scale
-        ratio = fresh["rate"] / (committed["rate"] * scale)
-        verdict = "ok" if fresh["rate"] >= floor else "REGRESSION"
-        print(f"{name:>22}: {fresh['rate']:>12,.0f} {fresh['unit']} "
-              f"(normalized {ratio:.2f}x of baseline, floor {floor:,.0f}) {verdict}")
-        if fresh["rate"] < floor:
+        if "ref_rate" in committed and "ref_rate" in fresh:
+            key, expected = "ref_rate", committed["ref_rate"]
+        else:
+            key, expected = "rate", committed["rate"] * scale
+        rate = fresh[key]
+        floor = min_ratio * expected
+        ratio = rate / expected
+        verdict = "ok" if rate >= floor else "REGRESSION"
+        print(f"{name:>22}: {rate:>12,.0f} {fresh['unit']} ({key}; "
+              f"normalized {ratio:.2f}x of baseline, floor {floor:,.0f}) {verdict}")
+        if rate < floor:
             failures.append(
-                f"{name}: {fresh['rate']:,.0f} < floor {floor:,.0f} "
+                f"{name}: {key} {rate:,.0f} < floor {floor:,.0f} "
                 f"({ratio:.2f}x of calibrated baseline)"
             )
     return failures

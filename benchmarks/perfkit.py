@@ -8,19 +8,27 @@ The same functions back the pytest smoke tests
 (``benchmarks/check_perf_regression.py``).
 
 Methodology: every bench runs ``repeats`` times and reports the *best*
-wall-clock rate (minimum noise estimator, like ``timeit``).  Rates are
-wall-clock performance of the simulator itself -- simulated time is
-irrelevant here except as a work counter.
+wall-clock rate (minimum noise estimator, like ``timeit``).  While each
+repetition runs, ``perfbench.calibrate.SpeedSampler`` times a fixed
+pure-Python loop just before, every 10 ms during, and just after it,
+so each repetition also has a length in *reference seconds* (what it
+would take on the reference host), and ``ref_rate`` is the median
+repetition's rate on the reference host, whatever the shared host was
+doing while that bench ran.  Rates are wall-clock performance
+of the simulator itself -- simulated time is irrelevant here except as
+a work counter.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
+from perfbench.calibrate import SpeedSampler  # noqa: E402
 from repro.sim import Kernel, Timeout  # noqa: E402
 
 #: One pinned seed for every bench kernel: rates are wall-clock, but
@@ -50,17 +58,33 @@ def calibrate(spins: int = 2_000_000, repeats: int = 5) -> dict:
 
 
 def _best_rate(work, ops: int, repeats: int) -> dict:
-    """Run ``work()`` ``repeats`` times; rate = ops / best wall time."""
-    best = float("inf")
+    """Run ``work()`` ``repeats`` times, each inside a
+    :class:`~perfbench.calibrate.SpeedSampler`.
+
+    ``rate`` is ops per host second of the fastest repetition (sampler
+    time excluded).  ``ref_rate`` is the median over repetitions of ops
+    per reference second -- each repetition scaled by the host speed
+    sampled while it ran -- and is what the regression gate compares.
+    The median rather than the best: the repetition with the fewest
+    reference seconds is the one whose speed samples happened to read
+    the host slowest, so the best would pick out sampling noise.
+    """
+    walls, refs = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
-        work()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return {"ops": ops, "best_s": best, "rate": ops / best}
+        with SpeedSampler(interval_s=0.01) as sampler:
+            work()
+        walls.append(sampler.wall_s)
+        refs.append(sampler.ref_s)
+    best = min(walls)
+    return {
+        "ops": ops,
+        "best_s": best,
+        "rate": ops / best,
+        "ref_rate": statistics.median(ops / s for s in refs),
+    }
 
 
-def bench_kernel_dispatch(events: int = 200_000, repeats: int = 3) -> dict:
+def bench_kernel_dispatch(events: int = 200_000, repeats: int = 5) -> dict:
     """Raw event-loop dispatch: a self-rescheduling callback chain.
 
     Measures the kernel's per-event overhead (queue push/pop, clock
@@ -86,7 +110,7 @@ def bench_kernel_dispatch(events: int = 200_000, repeats: int = 3) -> dict:
 
 
 def bench_kernel_timeout_procs(
-    procs: int = 200, steps: int = 500, repeats: int = 3
+    procs: int = 200, steps: int = 500, repeats: int = 5
 ) -> dict:
     """Process scheduling: many coroutines yielding Timeouts.
 
@@ -111,7 +135,7 @@ def bench_kernel_timeout_procs(
     return out
 
 
-def bench_eci_serialization(messages: int = 20_000, repeats: int = 3) -> dict:
+def bench_eci_serialization(messages: int = 20_000, repeats: int = 5) -> dict:
     """Wire pack/unpack round-trips over every ECI message type."""
     from repro.eci import serialization
     from repro.eci.messages import (
@@ -154,7 +178,7 @@ def bench_eci_serialization(messages: int = 20_000, repeats: int = 3) -> dict:
     return out
 
 
-def bench_eci_link_flits(flits: int = 20_000, repeats: int = 3) -> dict:
+def bench_eci_link_flits(flits: int = 20_000, repeats: int = 5) -> dict:
     """A saturated, credit-limited ECI link: wall-clock flits/sec.
 
     Back-to-back header-only flits from one source keep the serializer
@@ -202,8 +226,12 @@ def bench_eci_link_flits(flits: int = 20_000, repeats: int = 3) -> dict:
     return out
 
 
-def bench_fig7_tcp_wall(repeats: int = 5) -> dict:
-    """End-to-end fig7 TCP sweep wall time (macro bench over examples)."""
+def bench_fig7_tcp_wall(sweeps: int = 500, repeats: int = 5) -> dict:
+    """End-to-end fig7 TCP sweep wall time (macro bench over examples).
+
+    One sweep takes ~30 us, so a repetition runs ``sweeps`` of them:
+    long enough for the host-speed samples around it to describe it.
+    """
     from repro.config import preset
     from repro.net import FpgaTcpStack, LinuxTcpStack
 
@@ -211,20 +239,21 @@ def bench_fig7_tcp_wall(repeats: int = 5) -> dict:
     cfg = preset("full")
 
     def work():
-        fpga = FpgaTcpStack.from_config(cfg)
-        linux = LinuxTcpStack.from_config(cfg)
-        for size in sizes:
-            fpga.one_way_latency_ns(size)
-            linux.one_way_latency_ns(size)
-            fpga.throughput_gbps(size)
-            linux.throughput_gbps(size)
+        for _ in range(sweeps):
+            fpga = FpgaTcpStack.from_config(cfg)
+            linux = LinuxTcpStack.from_config(cfg)
+            for size in sizes:
+                fpga.one_way_latency_ns(size)
+                linux.one_way_latency_ns(size)
+                fpga.throughput_gbps(size)
+                linux.throughput_gbps(size)
 
-    out = _best_rate(work, len(sizes), repeats)
+    out = _best_rate(work, sweeps * len(sizes), repeats)
     out["unit"] = "sweeps: sizes/s"
     return out
 
 
-def bench_fleet_quorum_put(ops: int = 600, repeats: int = 3) -> dict:
+def bench_fleet_quorum_put(ops: int = 600, repeats: int = 5) -> dict:
     """Quorum-path KVS throughput on the ``rack_quorum`` fleet.
 
     Half puts, half gets through the primary-coordinated quorum write
@@ -265,7 +294,7 @@ def bench_fleet_quorum_put(ops: int = 600, repeats: int = 3) -> dict:
     return out
 
 
-def bench_traffic_kvs_mix(duration_ms: float = 3.0, repeats: int = 3) -> dict:
+def bench_traffic_kvs_mix(duration_ms: float = 3.0, repeats: int = 5) -> dict:
     """Serving-path throughput: the traffic engine end to end.
 
     A scaled-down open-loop Poisson scenario (the default mix: quorum
@@ -313,13 +342,14 @@ def bench_traffic_kvs_mix(duration_ms: float = 3.0, repeats: int = 3) -> dict:
     out = _best_rate(work, 1, repeats)
     out["ops"] = counted["ops"]
     out["rate"] = counted["ops"] / out["best_s"]
+    out["ref_rate"] *= counted["ops"]
     out["unit"] = "requests/s"
     out["sim"] = sim
     return out
 
 
 def bench_antientropy_sync(
-    keys: int = 2_000, divergent: int = 200, repeats: int = 3
+    keys: int = 2_000, divergent: int = 200, repeats: int = 5
 ) -> dict:
     """Merkle anti-entropy pass: one full sweep of a populated rack.
 

@@ -190,9 +190,14 @@ class Rack:
             machine = self.machines.get(name)
             if machine is not None and machine.alive:
                 machine.server.set_epoch(self.ring_epoch)
-                tap = self.taps.get(name)
-                if tap is not None:
-                    tap.control("epoch", epoch=self.ring_epoch)
+                self._record(name, "epoch", epoch=self.ring_epoch)
+
+    def _record(self, name: str, kind: str, **fields) -> None:
+        """Mirror a control-plane change to a board into its message
+        tap, when one is attached (:func:`repro.snap.attach_taps`)."""
+        tap = self.taps.get(name)
+        if tap is not None:
+            tap.control(kind, **fields)
 
     def _controller_side(self) -> Tuple[str, ...]:
         """The machines the controller can reach: everyone, or -- during
@@ -300,19 +305,29 @@ class Rack:
             server = self.machines[name].server
             if not server.alive or not server.hints:
                 continue
+            taken = []
             for target, entries in sorted(server.take_hints().items()):
                 machine = self.machines.get(target)
-                if machine is None or not machine.alive:
-                    if machine is not None and target in self.ring.machines:
-                        # Dead but not yet deposed: retry at the next
-                        # heal or rejoin.
-                        server.hints.setdefault(target, []).extend(entries)
+                dead = machine is None or not machine.alive
+                if dead and machine is not None and target in self.ring.machines:
+                    # Dead but not yet deposed: retry at the next heal
+                    # or rejoin.
+                    server.hints.setdefault(target, []).extend(entries)
+                    continue
+                taken.append(target)
+                if dead:
                     # Deposed boards rebuild from live replicas at
                     # rejoin(); their queued hints are obsolete.
                     continue
                 for key, value, version, tombstone in entries:
                     if machine.server.apply_hint(key, value, version, tombstone):
                         drained += 1
+                        self._record(
+                            target, "write", key=key, value=value,
+                            version=version, tombstone=tombstone,
+                        )
+            if taken:
+                self._record(name, "hints_drained", targets=taken)
         if drained:
             self._hints_drained[()].inc(drained)
         return drained
@@ -347,9 +362,7 @@ class Rack:
             if machine.alive or name not in self.ring.machines:
                 continue
             machine.server.down()
-            tap = self.taps.get(name)
-            if tap is not None:
-                tap.control("down")
+            self._record(name, "down")
             if len(self.ring.machines) > 1:
                 self.ring = self.ring.removed(name)
                 detail = "removed from ring"
@@ -392,8 +405,12 @@ class Rack:
             # Viewed when reached, so it sees earlier sources' copies.
             for key, value, (version, _, tombstone), place in machine_view(self, name):
                 for target in place:
-                    if not tombstone and target != name and target in live:
-                        copied += copy_newer(self.machines[target], key, value, version)
+                    if (
+                        not tombstone and target != name and target in live
+                        and copy_newer(self.machines[target], key, value, version)
+                    ):
+                        copied += 1
+                        self._record(target, "write", key=key, value=value, version=version)
         if copied:
             self._rereplicated[()].inc(copied)
         return copied
@@ -430,14 +447,13 @@ class Rack:
         machine.store.clear()
         machine.server.versions.clear()
         machine.server.hints.clear()
+        self._record(name, "wipe")
         machine.server.up()
         machine.health.recover(reason)
         if name not in self.ring.machines:
             self.ring = self.ring.extended(name)
         self._bump_epoch("membership")
-        tap = self.taps.get(name)
-        if tap is not None:
-            tap.control("up")
+        self._record(name, "up")
         self.failovers.append((self.kernel.now, name, "rejoined ring"))
         self._rejoins[name].inc()
         self._machines_live.set(len(self.live_machines()))

@@ -4,7 +4,8 @@ A :class:`MessageTap` sits on one board's switch boundary and records
 everything that crosses it: inbound frame deliveries (with their exact
 delivery times), outbound frame sends, and out-of-band control events
 (the supervisor black-holing the board's NIC, the rack fencing its
-server to a new quorum epoch).  Because a board's
+server to a new quorum epoch, wiping its store at rejoin, or writing
+into it directly from re-replication and hint drains).  Because a board's
 behaviour is a pure function of its inbound messages and their times --
 boards make no RNG draws on the serving path -- the trace is sufficient
 to re-execute that one board *in isolation*, bit-identically, with
@@ -35,8 +36,10 @@ from .protocol import SnapshotError, from_jsonable, to_jsonable
 
 #: Trace document version (bump when the record shape changes).  v2
 #: made the KVS codec lossless (quorum fields) and added ``epoch``
-#: control records; v1 traces still load, with those fields defaulted.
-TRACE_VERSION = 2
+#: control records; v3 added the ``wipe``, ``write`` and
+#: ``hints_drained`` control records.  v1 and v2 traces still load,
+#: with the v2 fields defaulted.
+TRACE_VERSION = 3
 
 
 # -- payload codecs ---------------------------------------------------------
@@ -183,12 +186,16 @@ class MessageTap:
             )
         self.records.append(record)
 
-    def control(self, kind: str, epoch: Optional[int] = None) -> None:
-        """Record an out-of-band event: liveness ('down' / 'up') or the
-        rack fencing the server to a quorum epoch ('epoch')."""
+    def control(self, kind: str, **fields: Any) -> None:
+        """Record an out-of-band event: liveness ('down' / 'up'), the
+        rack fencing the server to a quorum epoch ('epoch', with
+        ``epoch``), the rejoin wipe of store, versions and hints
+        ('wipe'), a direct versioned write ('write', with ``key``,
+        ``value``, ``version`` and optional ``tombstone``), or hint
+        queues taken off this board ('hints_drained', with
+        ``targets``)."""
         record: Dict[str, Any] = {"t": self.kernel.now, "dir": "ctl", "kind": kind}
-        if epoch is not None:
-            record["epoch"] = epoch
+        record.update(fields)
         self._record(record)
 
     # -- trace (de)serialization ------------------------------------------
@@ -254,13 +261,14 @@ def replay_board(
     rack run bit-for-bit.
 
     What the trace captures: every frame the board receives or sends,
-    kill/rejoin liveness changes, and every quorum epoch the rack fences
-    the server to (``Rack._fence``).  What it does not capture are the
-    control plane's direct writes into the board's store and quorum
-    state, which bypass the network: anti-entropy repairs,
-    :meth:`Rack.re_replicate` copies, hinted-handoff drains, and the
-    store wipe at :meth:`Rack.rejoin`.  A board that took any of those
-    replays faithfully only up to the first one.
+    kill/rejoin liveness changes, every quorum epoch the rack fences
+    the server to (``Rack._fence``), and the rack's direct writes into
+    the board's store and quorum state, which bypass the network: the
+    wipe at :meth:`Rack.rejoin`, :meth:`Rack.re_replicate` copies, and
+    hinted-handoff drains (the writes on the target, the emptied queues
+    on the carrier).  What it does not capture are anti-entropy repairs
+    (:class:`repro.fleet.antientropy.AntiEntropyScheduler`); a board
+    that took one replays faithfully only up to it.
 
     Returns ``(board, outbound)`` where ``board`` is a dict of the
     rebuilt parts and ``outbound`` the replayed outbound records (same
@@ -298,12 +306,30 @@ def replay_board(
         handler(frame)
 
     def control(record: Dict[str, Any]) -> None:
-        if record["kind"] == "down":
+        kind = record["kind"]
+        if kind == "down":
             server.down()
-        elif record["kind"] == "up":
+        elif kind == "up":
             server.up()
-        elif record["kind"] == "epoch":
+        elif kind == "epoch":
             server.set_epoch(record["epoch"])
+        elif kind == "wipe":
+            store.clear()
+            server.versions.clear()
+            server.hints.clear()
+        elif kind == "write":
+            # Recorded only when the write landed, so it lands here too.
+            version = tuple(record["version"])
+            if version > NO_VERSION:
+                server.apply_hint(
+                    record["key"], record["value"], version,
+                    record.get("tombstone", False),
+                )
+            else:
+                store.put(record["key"], record["value"])
+        elif kind == "hints_drained":
+            for target in record["targets"]:
+                server.hints.pop(target, None)
 
     # Schedule the whole trace up front, in record order: records were
     # appended in execution order, so equal-time ties replay in their

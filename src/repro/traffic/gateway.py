@@ -12,7 +12,10 @@ what a production front-end does:
   workers that drain them in batches (up to ``batch_max``, with a
   short fill window), amortizing the per-dispatch overhead toward the
   shard servers and AFUs exactly the way the FPGA-side pipelines
-  amortize per-request setup.
+  amortize per-request setup.  Idle workers park in a FIFO and are
+  resumed only to be handed a non-empty batch: one dispatch decision
+  (:meth:`Gateway._dispatch`) walks the parked workers in park order,
+  so an idle pool costs no events however many workers it has.
 * **Cache tier** -- a small LRU in front of the backends serves repeat
   reads (KVS gets, recsys embedding results) at cache-hit latency,
   write-through on puts.
@@ -44,7 +47,7 @@ from typing import Dict, List, Optional
 from ..fleet.kvs import FleetKvsError
 from ..health import CircuitBreaker
 from ..obs import NULL_REGISTRY
-from ..sim import AnyOf, Kernel, Timeout
+from ..sim import AnyOf, Awaitable, Kernel, Timeout
 from .classes import Request
 from .config import GatewayConfig
 
@@ -138,6 +141,30 @@ class LruCache:
         self._entries.pop(key, None)
 
 
+class _Park(Awaitable):
+    """One idle worker's wait for a non-empty batch (single waiter).
+
+    An interrupt withdraws it from the FIFO and from any pending
+    hand-over, so no batch goes to a resume the process would drop.
+    """
+
+    __slots__ = ("gateway", "resume")
+
+    def __init__(self, gateway: "Gateway"):
+        self.gateway = gateway
+        self.resume = None
+
+    def _subscribe(self, kernel: Kernel, callback) -> None:
+        self.resume = callback
+        self.gateway._dispatch([self])
+
+    def _cancel_wait(self) -> None:
+        self.resume = None
+        parked = self.gateway._parked
+        if self in parked:
+            parked.remove(self)
+
+
 class Gateway:
     """Admission control + batching + cache in front of the rack."""
 
@@ -164,7 +191,10 @@ class Gateway:
         self.cache = LruCache(config.cache_slots)
         self.rejections: List[AdmissionRejected] = []
         self._queue: "deque[Request]" = deque()
-        self._wake = kernel.event("gateway-wake")
+        #: Idle workers, in the order they parked.
+        self._parked: List[_Park] = []
+        #: Zero-overhead batches to start in the current step.
+        self._starting: List[tuple] = []
         #: Retry-budget tokens (accrue per admitted request, spent 1/retry).
         self.retry_tokens = 0.0
         #: Per-backend-shard circuit breakers (keyed by machine name),
@@ -233,9 +263,9 @@ class Gateway:
         depth = len(self._queue)
         if depth > self.stats["max_queue_depth"]:
             self.stats["max_queue_depth"] = depth
-        if not self._wake.fired:
-            wake, self._wake = self._wake, self.kernel.event("gateway-wake")
-            wake.succeed(self.kernel)
+        if self._parked:
+            cohort, self._parked = self._parked, []
+            self.kernel.call_at(self.kernel.now, self._dispatch, cohort)
         return True
 
     def _reject(self, request: Request, reason: str) -> None:
@@ -259,35 +289,72 @@ class Gateway:
     # -- backend workers -----------------------------------------------------
 
     def worker(self, index: int):
-        """One backend worker process: drain the queue in batches.
+        """One backend worker process: serve the batches it is handed.
 
-        Spawned by the engine (``workers`` of them); parks on the wake
-        event while the queue is empty, so a finished scenario leaves
-        the workers idle and the kernel's queue drained.
+        Spawned by the engine (``workers`` of them).  The worker parks
+        and resumes only when :meth:`_dispatch` hands it a non-empty
+        batch, so an idle worker schedules nothing and a finished
+        scenario leaves the kernel's queue drained.
         """
-        config = self.config
         # Service-only gateways (no KVS classes in the mix) need no clients.
         client = self.clients[index % len(self.clients)] if self.clients else None
         while True:
-            if not self._queue:
-                yield self._wake
-                continue
-            if len(self._queue) < config.batch_max and config.batch_window_ns > 0:
-                # Short batch: wait briefly for it to fill under load.
-                yield Timeout(config.batch_window_ns)
-            batch = []
-            take = min(config.batch_max, len(self._queue))
-            for _ in range(take):
-                batch.append(self._queue.popleft())
-            if not batch:
-                continue
-            self.stats["batches"] += 1
-            self.stats["batched_requests"] += len(batch)
-            self._queue_depth[()].set(len(self._queue))
-            if config.batch_overhead_ns > 0:
-                yield Timeout(config.batch_overhead_ns)
+            batch = yield _Park(self)
             for request in batch:
                 yield from self._execute(request, client)
+
+    def _dispatch(self, workers: List[_Park], window: bool = True) -> None:
+        """Decide, in park order, what each of ``workers`` does next.
+
+        Queue empty: it stays parked.  A short queue and a batch window:
+        it joins the window, and all who join share one heap entry at
+        its close (``window`` is False then: they take what is queued).
+        Otherwise it takes a batch now.  ``submit`` hands every parked
+        worker over in one heap entry, so they decide back to back in
+        park order with nothing scheduled between them, and a worker
+        that finds the queue empty keeps its place in the FIFO.
+        """
+        queue, config = self._queue, self.config
+        joined = []
+        for park in workers:
+            if park.resume is None:
+                continue  # interrupted after it was handed over
+            if not queue:
+                self._parked.append(park)
+            elif window and len(queue) < config.batch_max and config.batch_window_ns > 0:
+                joined.append(park)
+            else:
+                self._take(park)
+        if joined:
+            self.kernel.call_at(
+                self.kernel.now + config.batch_window_ns, self._window_closed, joined
+            )
+
+    def _window_closed(self, workers: List[_Park]) -> None:
+        self._dispatch(workers, window=False)
+
+    def _take(self, park: _Park) -> None:
+        """Pop one batch for ``park``; resume it after the overhead."""
+        queue, config = self._queue, self.config
+        batch = [queue.popleft() for _ in range(min(config.batch_max, len(queue)))]
+        self.stats["batches"] += 1
+        self.stats["batched_requests"] += len(batch)
+        self._queue_depth[()].set(len(queue))
+        if config.batch_overhead_ns > 0:
+            self.kernel.call_at(
+                self.kernel.now + config.batch_overhead_ns, park.resume, batch
+            )
+            return
+        # Zero overhead: the batch starts in the step that took it.  A
+        # worker whose batch finishes in that step and takes another
+        # queues it here for the outermost take to run, not recurse.
+        starting = self._starting
+        starting.append((park.resume, batch))
+        if len(starting) == 1:
+            while starting:
+                resume, batch = starting[0]
+                resume(batch)
+                starting.pop(0)
 
     def _breaker_for(self, request: Request):
         """The breaker guarding this request's backend shard, if any.

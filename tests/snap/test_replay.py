@@ -16,7 +16,12 @@ import pytest
 
 from repro.config import FleetConfig, preset
 from repro.fleet import Rack
-from repro.fleet.kvs import REQUEST_HEADER_BYTES, KvsRequest, KvsResponse
+from repro.fleet.kvs import (
+    REQUEST_HEADER_BYTES,
+    FleetKvsError,
+    KvsRequest,
+    KvsResponse,
+)
 from repro.net import Frame
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
@@ -118,13 +123,34 @@ def test_recording_does_not_perturb_the_run():
     assert run(record=False) == run(record=True)
 
 
-def test_quorum_rack_boards_replay_bit_identically():
-    """Quorum racks put epochs, versions and replica lists on the wire
-    and run strict-epoch servers: the trace must carry all of it."""
+def _assert_boards_replay(rack, taps, fleet):
+    """Every board, replayed alone from its JSONL trace, sends the same
+    frames and ends with the same arena and quorum state."""
+    assert len(taps) == fleet.machines
+    for name, tap in taps.items():
+        _, records = trace_from_jsonl(tap.to_jsonl())
+        board, outbound = replay_board(records, fleet, name)
+        original = [r for r in tap.records if r["dir"] == "out"]
+        assert original, f"{name}: served no traffic"
+        assert outbound == original, f"{name}: outbound frames diverged"
+        machine = rack.machines[name]
+        assert bytes(board["store"].arena) == bytes(machine.store.arena), name
+        assert board["server"].versions == machine.server.versions, name
+        assert board["server"].epoch == machine.server.epoch, name
+        assert board["server"].hints == machine.server.hints, name
+
+
+def _quorum_rack():
     fleet = preset("rack_quorum").fleet
     rack = Rack(fleet, obs=MetricsRegistry())
     taps = attach_taps(rack)
-    client = rack.client("client0")
+    return fleet, rack, taps, rack.client("client0")
+
+
+def test_quorum_rack_boards_replay_bit_identically():
+    """Quorum racks put epochs, versions and replica lists on the wire
+    and run strict-epoch servers: the trace must carry all of it."""
+    fleet, rack, taps, client = _quorum_rack()
     keys = [f"q:{i:03d}".encode() for i in range(40)]
 
     def workload():
@@ -136,18 +162,58 @@ def test_quorum_rack_boards_replay_bit_identically():
 
     rack.kernel.spawn(workload())
     rack.kernel.run()
+    assert fleet.machines == 6
+    _assert_boards_replay(rack, taps, fleet)
 
-    assert len(taps) == fleet.machines == 6
-    for name, tap in taps.items():
-        _, records = trace_from_jsonl(tap.to_jsonl())
-        board, outbound = replay_board(records, fleet, name)
-        original = [r for r in tap.records if r["dir"] == "out"]
-        assert original, f"{name}: served no traffic"
-        assert outbound == original, f"{name}: outbound frames diverged"
-        machine = rack.machines[name]
-        assert bytes(board["store"].arena) == bytes(machine.store.arena)
-        assert board["server"].versions == machine.server.versions
-        assert board["server"].epoch == machine.server.epoch
+
+def test_killed_and_rejoined_board_replays_bit_identically():
+    """A rejoin wipes the board's store, then re_replicate and the hint
+    drain write into it directly, off the wire: the trace carries those
+    writes as control records, so the rejoined board replays too."""
+    fleet, rack, taps, client = _quorum_rack()
+
+    def puts(start):
+        for i in range(start, start + 40):
+            yield from client.put(f"r:{i:03d}".encode(), bytes([i]) * 16)
+
+    def workload():
+        yield from puts(0)
+        rack.kill("enzian1")
+        yield from puts(40)
+        rack.rejoin("enzian1")
+        yield from puts(80)
+
+    rack.kernel.spawn(workload())
+    rack.kernel.run()
+    kinds = {r["kind"] for r in taps["enzian1"].records if r["dir"] == "ctl"}
+    assert {"down", "wipe", "write", "up"} <= kinds
+    _assert_boards_replay(rack, taps, fleet)
+
+
+def test_boards_replay_across_a_partition_heal_hint_drain():
+    """Writes that miss the cut-off side queue as hints on a carrier;
+    the heal drains them into their targets directly."""
+    fleet, rack, taps, client = _quorum_rack()
+
+    def workload():
+        rack.start_partition([
+            ["enzian0", "enzian1", "enzian2", "enzian3"], ["enzian4", "enzian5"],
+        ])
+        for i in range(40):
+            try:
+                yield from client.put(f"p:{i:03d}".encode(), bytes([i]) * 16)
+            except FleetKvsError:
+                pass  # primaried on the cut-off side
+        rack.heal()
+        for i in range(40):
+            yield from client.put(f"p:{i:03d}".encode(), bytes([i + 1]) * 16)
+
+    rack.kernel.spawn(workload())
+    rack.kernel.run()
+    controls = [r for tap in taps.values() for r in tap.records if r["dir"] == "ctl"]
+    assert any(r["kind"] == "hints_drained" for r in controls)
+    assert any(r["kind"] == "write" for r in controls)
+    _assert_boards_replay(rack, taps, fleet)
 
 
 # -- the message contract ---------------------------------------------------
